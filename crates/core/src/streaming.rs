@@ -210,6 +210,21 @@ impl DisplacementMap {
         }
     }
 
+    /// Every current-generation `(key, value)` entry, in slot order.
+    /// Costs one pass over the table (`O(capacity)`), however many
+    /// keys a caller cares about.
+    pub(crate) fn live_entries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let gen = self.gen;
+        let live = if self.len == 0 {
+            &[][..]
+        } else {
+            &self.slots[..]
+        };
+        live.iter()
+            .filter(move |s| s.gen == gen)
+            .map(|s| (s.key, s.val))
+    }
+
     /// Fast-forwards the generation stamp as if `gen - self.gen` resets
     /// had happened (restamping live entries so they stay visible), so
     /// tests can drive the stamp to the wraparound boundary without
@@ -492,10 +507,18 @@ impl SparseOrder {
 
     /// Materializes the conceptual values of positions `i..len` into the
     /// flat dense tail (see the type docs) — `O(len - i)`, once per run.
+    /// The tail starts as the identity and only the displaced entries
+    /// are scattered over it: one sequential fill plus one pass over
+    /// the map's table instead of a hash probe per position. Entries
+    /// at positions below `i` are stale (already examined) and skipped.
     fn densify(&mut self, i: usize) {
         self.dense.clear();
-        self.dense
-            .extend((i..self.len).map(|p| self.displaced.get(p as u32).unwrap_or(p as u32)));
+        self.dense.extend(i as u32..self.len as u32);
+        for (key, val) in self.displaced.live_entries() {
+            if let Some(slot) = (key as usize).checked_sub(i) {
+                self.dense[slot] = val;
+            }
+        }
         self.dense_from = Some(i);
     }
 
@@ -509,14 +532,8 @@ impl SparseOrder {
         self.prefix.truncate(k);
     }
 
-    /// Reads position `i` of the emitted prefix.
-    #[inline]
-    pub(crate) fn prefix_at(&self, i: usize) -> u32 {
-        self.prefix[i]
-    }
-
     /// Overwrites position `i` of the emitted prefix (used by SVT-ReTr
-    /// to compact survivors in place between passes).
+    /// to compact its first pass's survivors in place).
     #[inline]
     pub(crate) fn prefix_set(&mut self, i: usize, value: u32) {
         self.prefix[i] = value;
@@ -562,6 +579,9 @@ pub struct RunScratch {
     selected: Vec<usize>,
     noise: NoiseBuffer,
     em: EmScratch,
+    /// SVT-ReTr's bounded heap of `(pass, survivor position)` keys,
+    /// kept across runs so the resolver allocates nothing.
+    pass_keys: Vec<u64>,
     /// Threads used to prefill chunked noise streams (SVT-Revisited's
     /// whole-list runs); the stream is bit-identical for every value.
     noise_threads: usize,
@@ -594,6 +614,7 @@ impl RunScratch {
             selected: Vec::new(),
             noise: NoiseBuffer::with_kernel(batch, kernel),
             em: EmScratch::new(),
+            pass_keys: Vec::new(),
             noise_threads: 1,
         }
     }
@@ -640,27 +661,88 @@ impl RunScratch {
         self.selected.len()
     }
 
-    pub(crate) fn push_selected(&mut self, item: usize) {
-        self.selected.push(item);
+    /// The emitted order prefix, the selection, and the SVT-ReTr
+    /// resolver's key buffer, borrowed together for
+    /// [`svt_retraversal_from`](crate::retraversal::svt_retraversal_from)'s
+    /// later-pass sweep.
+    pub(crate) fn retr_parts(&mut self) -> (&[u32], &mut Vec<usize>, &mut Vec<u64>) {
+        (self.order.prefix(), &mut self.selected, &mut self.pass_keys)
     }
 
-    /// One lazy-shuffle step: emits the item examined at the next
-    /// position.
-    #[inline]
-    pub(crate) fn step_order(&mut self, rng: &mut DpRng) -> u32 {
-        self.order.step(rng)
-    }
-
-    pub(crate) fn order_at(&self, i: usize) -> u32 {
-        self.order.prefix_at(i)
-    }
-
-    pub(crate) fn order_set(&mut self, i: usize, value: u32) {
-        self.order.prefix_set(i, value);
-    }
-
-    pub(crate) fn noise_mut(&mut self) -> &mut NoiseBuffer {
-        &mut self.noise
+    /// One traversal of a fresh lazy examination order through the
+    /// two-deep [`LOOKAHEAD`] window pipeline — the observe loop of
+    /// [`svt_select_from`] and of SVT-ReTr's first pass
+    /// ([`svt_retraversal_from`](crate::retraversal::svt_retraversal_from)).
+    /// Examines positions until `svt` halts or the order runs out,
+    /// pushing each ⊤ item onto the selection, and leaves the order
+    /// prefix trimmed to the examined count.
+    ///
+    /// With `COMPACT`, every ⊥ item is also written back to the front
+    /// of the prefix in examination order, so a multi-pass caller reads
+    /// the survivors as `order.prefix()[..survivors]`; the return value
+    /// is that survivor count (always 0 without `COMPACT`). The writes
+    /// only ever land on positions already copied into a window, so
+    /// compaction changes no draw and no emitted value.
+    pub(crate) fn window_pass<S: ScoreSource + ?Sized, const COMPACT: bool>(
+        &mut self,
+        scores: &S,
+        threshold: f64,
+        svt: &mut BatchedSvt,
+        rng: &mut DpRng,
+    ) -> usize {
+        let n = scores.len();
+        // Two-deep software pipeline over the lookahead windows: while
+        // window `w` is being observed, window `w + 1` has already been
+        // stepped and its score reads issued, so those cache misses (one
+        // per item at AOL-scale list sizes) resolve under the observation
+        // compute instead of stalling it. The draws are unchanged — order
+        // steps stay the loop's only draws from `rng`, in the same order —
+        // but on an early halt `rng` has advanced by up to
+        // `2 · LOOKAHEAD - 1` extra order draws. Query noise is pulled one
+        // window at a time from the ν fork — same stream, and up to
+        // `LOOKAHEAD - 1` values past a halt, which is unobservable: the
+        // fork is discarded with this call and the buffer reset next run.
+        let (mut items_a, mut items_b) = ([0u32; LOOKAHEAD], [0u32; LOOKAHEAD]);
+        let (mut vals_a, mut vals_b) = ([0.0f64; LOOKAHEAD], [0.0f64; LOOKAHEAD]);
+        let mut nus = [0.0f64; LOOKAHEAD];
+        let (mut cur_items, mut cur_vals) = (&mut items_a, &mut vals_a);
+        let (mut nxt_items, mut nxt_vals) = (&mut items_b, &mut vals_b);
+        let mut cur_w = LOOKAHEAD.min(n);
+        self.order.step_block(rng, &mut cur_items[..cur_w]);
+        for k in 0..cur_w {
+            cur_vals[k] = scores.score(cur_items[k] as usize);
+        }
+        let mut stepped = cur_w;
+        let mut examined = 0;
+        let mut survivors = 0;
+        'outer: while cur_w > 0 && !svt.is_halted() {
+            let next_w = LOOKAHEAD.min(n - stepped);
+            if next_w > 0 {
+                self.order.step_block(rng, &mut nxt_items[..next_w]);
+                for k in 0..next_w {
+                    nxt_vals[k] = scores.score(nxt_items[k] as usize);
+                }
+                stepped += next_w;
+            }
+            svt.take_noise(&mut self.noise, &mut nus[..cur_w]);
+            for k in 0..cur_w {
+                examined += 1;
+                if svt.observe(cur_vals[k], threshold, nus[k]) {
+                    self.selected.push(cur_items[k] as usize);
+                } else if COMPACT {
+                    self.order.prefix_set(survivors, cur_items[k]);
+                    survivors += 1;
+                }
+                if svt.is_halted() {
+                    break 'outer;
+                }
+            }
+            std::mem::swap(&mut cur_items, &mut nxt_items);
+            std::mem::swap(&mut cur_vals, &mut nxt_vals);
+            cur_w = next_w;
+        }
+        self.order.truncate_prefix(examined);
+        survivors
     }
 
     /// Rewinds for an EM selection: empty selection and a zero-length
@@ -726,31 +808,29 @@ impl BatchedSvt {
         self.state.is_halted()
     }
 
-    /// Lines 3–9 of Algorithm 7 for one query: does `q + ν ≥ T + ρ`?
-    /// Scores are validated upstream, so the unchecked transition
-    /// applies; callers stop at [`is_halted`](Self::is_halted).
-    #[inline]
-    pub(crate) fn crosses(
-        &mut self,
-        query_answer: f64,
-        threshold: f64,
-        noise: &mut NoiseBuffer,
-    ) -> bool {
-        let nu = noise.next(&self.query_noise, &mut self.noise_rng);
-        self.state.observe_unchecked(query_answer, threshold, nu)
+    /// The threshold noise `ρ` drawn at construction.
+    pub(crate) fn rho(&self) -> f64 {
+        self.state.rho()
+    }
+
+    /// The query-noise distribution `ν ~ Lap(·/ε₂)`.
+    pub(crate) fn query_noise(&self) -> &Laplace {
+        &self.query_noise
     }
 
     /// Pulls the next `out.len()` query-noise values in one block —
-    /// the same ν stream [`crosses`](Self::crosses) consumes, without
-    /// the per-draw buffer bookkeeping. Pair with
+    /// the same ν stream per-draw [`NoiseBuffer::next`] calls would
+    /// hand out, without the per-draw buffer bookkeeping. Pair with
     /// [`observe`](Self::observe).
     #[inline]
     pub(crate) fn take_noise(&mut self, noise: &mut NoiseBuffer, out: &mut [f64]) {
         noise.take_into(&self.query_noise, &mut self.noise_rng, out);
     }
 
-    /// [`crosses`](Self::crosses) with the ν drawn up front by
-    /// [`take_noise`](Self::take_noise).
+    /// Lines 3–9 of Algorithm 7 for one query — does `q + ν ≥ T + ρ`? —
+    /// with the ν drawn up front by [`take_noise`](Self::take_noise).
+    /// Scores are validated upstream, so the unchecked transition
+    /// applies; callers stop at [`is_halted`](Self::is_halted).
     #[inline]
     pub(crate) fn observe(&mut self, query_answer: f64, threshold: f64, nu: f64) -> bool {
         self.state.observe_unchecked(query_answer, threshold, nu)
@@ -823,54 +903,7 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
 ) -> Result<()> {
     let mut svt = BatchedSvt::new(&config.to_standard()?, rng)?;
     scratch.begin_run(scores.len());
-    let n = scores.len();
-    // Two-deep software pipeline over the lookahead windows: while
-    // window `w` is being observed, window `w + 1` has already been
-    // stepped and its score reads issued, so those cache misses (one
-    // per item at AOL-scale list sizes) resolve under the observation
-    // compute instead of stalling it. The draws are unchanged — order
-    // steps stay the loop's only draws from `rng`, in the same order —
-    // but on an early halt `rng` has advanced by up to
-    // `2 · LOOKAHEAD - 1` extra order draws. Query noise is pulled one
-    // window at a time from the ν fork — same stream, and up to
-    // `LOOKAHEAD - 1` values past a halt, which is unobservable: the
-    // fork is discarded with this call and the buffer reset next run.
-    let (mut items_a, mut items_b) = ([0u32; LOOKAHEAD], [0u32; LOOKAHEAD]);
-    let (mut vals_a, mut vals_b) = ([0.0f64; LOOKAHEAD], [0.0f64; LOOKAHEAD]);
-    let mut nus = [0.0f64; LOOKAHEAD];
-    let (mut cur_items, mut cur_vals) = (&mut items_a, &mut vals_a);
-    let (mut nxt_items, mut nxt_vals) = (&mut items_b, &mut vals_b);
-    let mut cur_w = LOOKAHEAD.min(n);
-    scratch.order.step_block(rng, &mut cur_items[..cur_w]);
-    for k in 0..cur_w {
-        cur_vals[k] = scores.score(cur_items[k] as usize);
-    }
-    let mut stepped = cur_w;
-    let mut examined = 0;
-    'outer: while cur_w > 0 && !svt.is_halted() {
-        let next_w = LOOKAHEAD.min(n - stepped);
-        if next_w > 0 {
-            scratch.order.step_block(rng, &mut nxt_items[..next_w]);
-            for k in 0..next_w {
-                nxt_vals[k] = scores.score(nxt_items[k] as usize);
-            }
-            stepped += next_w;
-        }
-        svt.take_noise(&mut scratch.noise, &mut nus[..cur_w]);
-        for k in 0..cur_w {
-            examined += 1;
-            if svt.observe(cur_vals[k], threshold, nus[k]) {
-                scratch.selected.push(cur_items[k] as usize);
-            }
-            if svt.is_halted() {
-                break 'outer;
-            }
-        }
-        std::mem::swap(&mut cur_items, &mut nxt_items);
-        std::mem::swap(&mut cur_vals, &mut nxt_vals);
-        cur_w = next_w;
-    }
-    scratch.order.truncate_prefix(examined);
+    scratch.window_pass::<S, false>(scores, threshold, &mut svt, rng);
     Ok(())
 }
 
@@ -1194,6 +1227,39 @@ mod tests {
             prop_assert_eq!(eager.prefix(), &want[..]);
             prop_assert_eq!(eager.emitted(), n);
             prop_assert_eq!(eager_rng.next_u64(), step_rng.next_u64());
+        }
+
+        #[test]
+        fn densify_after_map_growth_matches_fisher_yates(
+            seed in any::<u64>(),
+            n in 400usize..2500,
+            prev in 0usize..6000,
+        ) {
+            // The n/8 densify trigger is crossed after the displacement
+            // map has outgrown its first table, both on a fresh order
+            // and on one whose table still holds an earlier run's
+            // stale slots: the dense tail must be exactly the sparse
+            // state, so the whole stream still matches a full forward
+            // Fisher–Yates.
+            let mut order = SparseOrder::new();
+            order.reset(prev);
+            let mut warm_rng = DpRng::seed_from_u64(!seed);
+            for _ in 0..prev {
+                order.step(&mut warm_rng);
+            }
+            let mut lazy_rng = DpRng::seed_from_u64(seed);
+            order.reset(n);
+            let trigger = n.div_ceil(8) - 1;
+            let mut emitted: Vec<u32> = (0..trigger).map(|_| order.step(&mut lazy_rng)).collect();
+            prop_assert!(order.displaced.capacity() > DisplacementMap::MIN_CAPACITY);
+            prop_assert!(order.dense_from.is_none());
+            emitted.extend((trigger..n).map(|_| order.step(&mut lazy_rng)));
+            prop_assert_eq!(order.dense_from, Some(trigger));
+            let mut full_rng = DpRng::seed_from_u64(seed);
+            let mut full: Vec<u32> = (0..n as u32).collect();
+            full_rng.shuffle_forward(&mut full);
+            prop_assert_eq!(&emitted[..], &full[..]);
+            prop_assert_eq!(lazy_rng.next_u64(), full_rng.next_u64());
         }
 
         #[test]

@@ -1067,15 +1067,21 @@ impl SessionStore {
     /// [`ServerError::SessionEvicted`] if the store already reclaimed
     /// it; [`ServerError::UnknownSession`].
     pub fn close_session(&self, session: SessionId) -> Result<SessionStatus> {
-        let mut shard = self.lock_shard(self.shard_of(session.tenant));
-        if let Some(&reason) = shard.evicted.get(&session) {
-            return Err(ServerError::SessionEvicted { session, reason });
-        }
-        let entry = shard
-            .sessions
-            .remove(&session)
-            .ok_or(ServerError::UnknownSession(session))?;
-        shard.lru.remove(&entry.last_touch);
+        let entry = {
+            let mut shard = self.lock_shard(self.shard_of(session.tenant));
+            if let Some(&reason) = shard.evicted.get(&session) {
+                return Err(ServerError::SessionEvicted { session, reason });
+            }
+            let entry = shard
+                .sessions
+                .remove(&session)
+                .ok_or(ServerError::UnknownSession(session))?;
+            shard.lru.remove(&entry.last_touch);
+            entry
+        };
+        // The shard guard is released: dropping `entry` below may free
+        // the last pin of a large dataset snapshot, which must not
+        // happen while other requests wait on the shard lock.
         Ok(SessionStatus {
             queries_asked: entry.driver.queries_asked(),
             positives: entry.driver.state().positives(),
@@ -1268,6 +1274,29 @@ mod tests {
         );
         // The spend survives the close.
         assert!((store.ledger_view(tenant).unwrap().spent - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn close_session_releases_the_snapshot_pin_by_return() {
+        let store = SessionStore::new(ServerConfig::default());
+        let tenant = TenantId(5);
+        store.register_tenant(tenant, 1.0).unwrap();
+        store.register_dataset(tenant, &[3.0, 1e9, 2.0]).unwrap();
+        let session = store.open_session(tenant, config(2), 13).unwrap();
+        store.submit_item(session, 1, 0.0).unwrap();
+        let before = store.session_status(session).unwrap();
+        let pin = store.datasets.snapshot(tenant).unwrap();
+        let pinned = Arc::strong_count(&pin);
+        let status = store.close_session(session).unwrap();
+        assert_eq!(status, before);
+        assert_eq!(status.queries_asked, 1);
+        assert_eq!(status.positives, 1);
+        assert!(!status.exhausted);
+        assert_eq!(
+            Arc::strong_count(&pin),
+            pinned - 1,
+            "the session's pin is gone"
+        );
     }
 
     #[test]
