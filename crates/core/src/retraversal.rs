@@ -242,7 +242,7 @@ pub fn svt_retraversal_from<S: ScoreSource + ?Sized>(
     let mut svt = BatchedSvt::new(&config.select.to_standard()?, rng)?;
     let c = config.select.c;
     scratch.begin_run(scores.len());
-    let survivors = scratch.window_pass::<S, true>(scores, threshold, &mut svt, rng);
+    let survivors = scratch.window_pass::<S, _, true>(scores, threshold, &mut svt, rng)?;
     let found = scratch.selected_len();
     let passes = if scores.is_empty() {
         0

@@ -47,7 +47,7 @@ use crate::alg::StandardSvtConfig;
 use crate::response::SvtAnswer;
 use crate::{Result, SvtError};
 use dp_mechanisms::laplace::Laplace;
-use dp_mechanisms::{DpRng, MechanismError, NoiseBuffer, NoiseKernel};
+use dp_mechanisms::{DpRng, MechanismError, NoiseBuffer};
 
 /// How a session charges its privacy budget.
 ///
@@ -427,25 +427,6 @@ impl SessionDriver {
         self.noise
             .prefetch(&self.query_noise, &mut self.noise_rng, n);
     }
-
-    /// Selects the noise transform kernel for subsequent refills.
-    ///
-    /// Drivers default to [`NoiseKernel::Reference`] — serving sessions
-    /// are pinned bit-identical to scalar sampling history — so
-    /// switching to [`NoiseKernel::Vectorized`] is an explicit opt-in
-    /// for deployments that prefer throughput over replaying historical
-    /// bit patterns. Either kernel consumes the same generator words
-    /// and samples the same distribution.
-    #[inline]
-    pub fn set_noise_kernel(&mut self, kernel: NoiseKernel) {
-        self.noise.set_kernel(kernel);
-    }
-
-    /// The noise transform kernel in force.
-    #[inline]
-    pub fn noise_kernel(&self) -> NoiseKernel {
-        self.noise.kernel()
-    }
 }
 
 #[cfg(test)]
@@ -542,18 +523,6 @@ mod tests {
             }
         }
         assert_eq!(got, reference);
-    }
-
-    #[test]
-    fn driver_defaults_to_reference_kernel_and_can_switch() {
-        let mut rng = DpRng::seed_from_u64(97);
-        let mut d = SessionDriver::open(config(10, 0.0), &mut rng).unwrap();
-        assert_eq!(d.noise_kernel(), NoiseKernel::Reference);
-        d.set_noise_kernel(NoiseKernel::Vectorized);
-        assert_eq!(d.noise_kernel(), NoiseKernel::Vectorized);
-        // The vectorized driver still answers sanely.
-        assert_eq!(d.ask(1e9, 0.0).unwrap(), SvtAnswer::Above);
-        assert_eq!(d.ask(-1e9, 0.0).unwrap(), SvtAnswer::Below);
     }
 
     #[test]

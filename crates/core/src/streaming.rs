@@ -1,5 +1,5 @@
 //! Zero-copy streaming evaluation: reusable run buffers, lazy shuffles,
-//! and batched query noise.
+//! batched query noise, and the one batched observe loop.
 //!
 //! The faithful per-query engine pays three per-run costs that dominate
 //! the paper's large workloads (AOL: 2,290,685 items): allocating and
@@ -16,11 +16,24 @@
 //!   identity fill, no `O(n)` shuffle. The emitted prefix is exactly
 //!   the prefix of a full [`DpRng::shuffle_forward`] (proven by
 //!   property test), so the traversal order is a uniformly random
-//!   permutation either way.
-//! * **Batched noise** — the standard SVT's per-query `ν` comes from a
-//!   [`NoiseBuffer`] refilled block-wise via [`Laplace::sample_into`],
-//!   drawn from a dedicated forked generator so the handed-out noise
-//!   stream is bit-identical for every batch size.
+//!   permutation either way. Whole-list consumers switch the order to
+//!   eager mode ([`SparseOrder::reset_eager`]): the same draws, made
+//!   upfront in one tight pass.
+//! * **Batched noise** — the per-query `ν` comes from a [`NoiseBuffer`]
+//!   refilled block-wise via the noise family's batched fill, drawn
+//!   from a dedicated forked generator so the handed-out noise stream
+//!   is bit-identical for every batch size.
+//!
+//! ## One observe loop
+//!
+//! The SVT variants differ only in their noise family and in when `ρ`
+//! is redrawn, so every batched driver — [`svt_select_from`],
+//! [`revisited_select_from`], [`exp_noise_select_from`] and SVT-ReTr's
+//! first pass — builds a `BatchedSvt` for its draw protocol and runs
+//! the one lookahead window loop, `RunScratch::window_pass`.
+//! [`select_streaming_from`] keeps a per-item loop: the Alg. 1–6
+//! structs draw their noise from the run generator, interleaved with
+//! the order steps, so a lookahead window would move drawn values.
 //!
 //! ## Draw protocol (the reproducibility contract)
 //!
@@ -34,7 +47,8 @@
 //!    run generator, then one `ν = Lap(·/ε₂)` from the (buffered)
 //!    noise generator.
 //!
-//! The streaming paths release set membership only (⊤/⊥ — what the
+//! The other drivers document their variations on this protocol. The
+//! streaming paths release set membership only (⊤/⊥ — what the
 //! non-interactive selection experiments consume); the optional `ε₃`
 //! numeric phase of Algorithm 7 stays on [`crate::alg::StandardSvt`]'s interactive
 //! path.
@@ -48,7 +62,7 @@ use crate::{Result, SvtError};
 use dp_data::GroupedSnapshot;
 use dp_mechanisms::exp_noise::Exponential;
 use dp_mechanisms::laplace::Laplace;
-use dp_mechanisms::{DpRng, NoiseBuffer, NoiseKernel};
+use dp_mechanisms::{BatchSample, DpRng, NoiseBuffer, NoiseKernel};
 
 /// Per-item score access for the streaming selection paths.
 ///
@@ -334,8 +348,8 @@ pub struct SparseOrder {
     /// The position the dense tail starts at; `None` while sparse.
     dense_from: Option<usize>,
     /// Eager mode ([`reset_eager`](Self::reset_eager)): the whole
-    /// permutation is materialized in `prefix` upfront and this tracks
-    /// how much of it the consumer has examined. `None` in lazy mode.
+    /// permutation is materialized in `prefix` upfront and this counts
+    /// the positions handed out so far. `None` in lazy mode.
     eager_taken: Option<usize>,
 }
 
@@ -368,10 +382,9 @@ impl SparseOrder {
     /// values, so a full traversal is draw-for-draw identical under
     /// either mode. Built for whole-list consumers — SVT-Revisited's
     /// per-⊤ charging examines nearly everything — where lazy stepping
-    /// only adds overhead. Walk the result with
-    /// [`eager_at`](Self::eager_at) and record progress with
-    /// [`mark_taken`](Self::mark_taken) so [`emitted`](Self::emitted)
-    /// keeps reporting the examined count.
+    /// only adds overhead. [`step_block`](Self::step_block) then hands
+    /// out the materialized positions in order, drawing nothing, so the
+    /// batched drivers walk either mode through the same window loop.
     pub fn reset_eager(&mut self, n: usize, rng: &mut DpRng) {
         self.displaced.reset();
         self.len = n;
@@ -383,38 +396,15 @@ impl SparseOrder {
         self.eager_taken = Some(0);
     }
 
-    /// Reads position `i` of the eagerly materialized order.
-    ///
-    /// # Panics
-    /// Debug-asserts eager mode; panics if `i` is out of range.
-    #[inline]
-    pub fn eager_at(&self, i: usize) -> u32 {
-        debug_assert!(self.eager_taken.is_some(), "eager_at outside eager mode");
-        self.prefix[i]
-    }
-
-    /// Records that the consumer has examined the first `k` positions
-    /// of the eager order (no-op in lazy mode).
-    pub fn mark_taken(&mut self, k: usize) {
-        if let Some(taken) = &mut self.eager_taken {
-            debug_assert!(k <= self.len);
-            *taken = k;
-        }
-    }
-
-    /// Number of positions emitted so far (in eager mode: examined so
-    /// far, per [`mark_taken`](Self::mark_taken)).
+    /// Number of positions emitted so far (in eager mode: handed out
+    /// by [`step_block`](Self::step_block), not materialized).
     pub fn emitted(&self) -> usize {
         self.eager_taken.unwrap_or(self.prefix.len())
     }
 
-    /// The emitted prefix, in examination order (in eager mode: the
-    /// examined prefix of the materialized order).
+    /// The emitted prefix, in examination order.
     pub fn prefix(&self) -> &[u32] {
-        match self.eager_taken {
-            Some(taken) => &self.prefix[..taken],
-            None => &self.prefix,
-        }
+        &self.prefix[..self.emitted()]
     }
 
     /// Emits the next position of the lazy shuffle.
@@ -470,24 +460,37 @@ impl SparseOrder {
 
     /// Emits the next `out.len()` positions of the lazy shuffle —
     /// exactly [`step`](Self::step) repeated `out.len()` times (same
-    /// draws, same values), but when the whole block provably stays in
-    /// the sparse phase the per-step densify trigger, mode branch, and
-    /// length reloads are hoisted out of the loop. This is the batched
-    /// drivers' fill path: their lookahead windows step in blocks, so
-    /// the hoisting pays on every examined item.
+    /// draws, same values) — and copies them into `out`. In eager mode
+    /// it copies the next positions of the materialized order and draws
+    /// nothing.
     pub fn step_block(&mut self, rng: &mut DpRng, out: &mut [u32]) {
+        let start = self.emitted();
+        self.advance(rng, out.len());
+        out.copy_from_slice(&self.prefix[start..start + out.len()]);
+    }
+
+    /// Emits the next `m` positions onto the prefix without copying
+    /// them out: the window loop reads them straight from the prefix,
+    /// which measured ~10 % faster than a copy on whole-list runs. Lazy
+    /// mode performs [`step`](Self::step) `m` times — but when the whole
+    /// block provably stays in the sparse phase the per-step densify
+    /// trigger, mode branch, and length reloads are hoisted out of the
+    /// loop. Eager mode only advances the hand-out count.
+    pub(crate) fn advance(&mut self, rng: &mut DpRng, m: usize) {
         let n = self.len;
+        if let Some(taken) = &mut self.eager_taken {
+            debug_assert!(*taken + m <= n, "SparseOrder::advance past the end");
+            *taken += m;
+            return;
+        }
         let start = self.prefix.len();
-        let m = out.len();
-        debug_assert!(self.eager_taken.is_none(), "step_block in eager mode");
-        debug_assert!(start + m <= n, "SparseOrder::step_block past the end");
+        debug_assert!(start + m <= n, "SparseOrder::advance past the end");
         // `(i + 1) * 8 < n` for every position the block touches means
         // no step densifies, and `remaining > 1` throughout (the
         // trigger fires long before the final position).
         if self.dense_from.is_none() && (start + m) * 8 < n {
             self.prefix.reserve(m);
-            for (t, slot) in out.iter_mut().enumerate() {
-                let i = start + t;
+            for i in start..start + m {
                 let vi = self.displaced.get(i as u32).unwrap_or(i as u32);
                 let j = i + rng.index(n - i);
                 let picked = if j == i {
@@ -496,12 +499,11 @@ impl SparseOrder {
                     self.displaced.replace(j as u32, vi).unwrap_or(j as u32)
                 };
                 self.prefix.push(picked);
-                *slot = picked;
             }
             return;
         }
-        for slot in out.iter_mut() {
-            *slot = self.step(rng);
+        for _ in 0..m {
+            self.step(rng);
         }
     }
 
@@ -527,16 +529,13 @@ impl SparseOrder {
     /// comparisons (see [`svt_select_from`]); a halt mid-window leaves
     /// stepped positions that were never examined, and this trims them
     /// so [`emitted`](Self::emitted)/[`prefix`](Self::prefix) report
-    /// exactly the examined count.
+    /// exactly the examined count. In eager mode it records that count
+    /// and keeps the materialized order.
     pub(crate) fn truncate_prefix(&mut self, k: usize) {
-        self.prefix.truncate(k);
-    }
-
-    /// Overwrites position `i` of the emitted prefix (used by SVT-ReTr
-    /// to compact its first pass's survivors in place).
-    #[inline]
-    pub(crate) fn prefix_set(&mut self, i: usize, value: u32) {
-        self.prefix[i] = value;
+        match &mut self.eager_taken {
+            Some(taken) => *taken = k,
+            None => self.prefix.truncate(k),
+        }
     }
 }
 
@@ -669,10 +668,13 @@ impl RunScratch {
         (self.order.prefix(), &mut self.selected, &mut self.pass_keys)
     }
 
-    /// One traversal of a fresh lazy examination order through the
-    /// two-deep [`LOOKAHEAD`] window pipeline — the observe loop of
-    /// [`svt_select_from`] and of SVT-ReTr's first pass
+    /// One traversal of a fresh examination order through the
+    /// two-deep [`LOOKAHEAD`] window pipeline — the one batched observe
+    /// loop, behind [`svt_select_from`], [`revisited_select_from`],
+    /// [`exp_noise_select_from`] and SVT-ReTr's first pass
     /// ([`svt_retraversal_from`](crate::retraversal::svt_retraversal_from)).
+    /// The order is lazy unless the caller switched it to eager mode
+    /// ([`SparseOrder::reset_eager`]) after [`begin_run`](Self::begin_run).
     /// Examines positions until `svt` halts or the order runs out,
     /// pushing each ⊤ item onto the selection, and leaves the order
     /// prefix trimmed to the examined count.
@@ -681,15 +683,22 @@ impl RunScratch {
     /// of the prefix in examination order, so a multi-pass caller reads
     /// the survivors as `order.prefix()[..survivors]`; the return value
     /// is that survivor count (always 0 without `COMPACT`). The writes
-    /// only ever land on positions already copied into a window, so
-    /// compaction changes no draw and no emitted value.
-    pub(crate) fn window_pass<S: ScoreSource + ?Sized, const COMPACT: bool>(
+    /// only ever land on positions already examined, so compaction
+    /// changes no draw and no emitted value.
+    ///
+    /// # Errors
+    /// A non-finite refreshed `ρ` (SVT-Revisited only).
+    pub(crate) fn window_pass<S, D, const COMPACT: bool>(
         &mut self,
         scores: &S,
         threshold: f64,
-        svt: &mut BatchedSvt,
+        svt: &mut BatchedSvt<D>,
         rng: &mut DpRng,
-    ) -> usize {
+    ) -> Result<usize>
+    where
+        S: ScoreSource + ?Sized,
+        D: BatchSample + Sync,
+    {
         let n = scores.len();
         // Two-deep software pipeline over the lookahead windows: while
         // window `w` is being observed, window `w + 1` has already been
@@ -697,52 +706,58 @@ impl RunScratch {
         // per item at AOL-scale list sizes) resolve under the observation
         // compute instead of stalling it. The draws are unchanged — order
         // steps stay the loop's only draws from `rng`, in the same order —
-        // but on an early halt `rng` has advanced by up to
+        // but on an early halt a lazy order has advanced `rng` by up to
         // `2 · LOOKAHEAD - 1` extra order draws. Query noise is pulled one
         // window at a time from the ν fork — same stream, and up to
         // `LOOKAHEAD - 1` values past a halt, which is unobservable: the
-        // fork is discarded with this call and the buffer reset next run.
-        let (mut items_a, mut items_b) = ([0u32; LOOKAHEAD], [0u32; LOOKAHEAD]);
+        // fork is discarded with `svt` and the buffer reset next run.
+        let order = &mut self.order;
         let (mut vals_a, mut vals_b) = ([0.0f64; LOOKAHEAD], [0.0f64; LOOKAHEAD]);
         let mut nus = [0.0f64; LOOKAHEAD];
-        let (mut cur_items, mut cur_vals) = (&mut items_a, &mut vals_a);
-        let (mut nxt_items, mut nxt_vals) = (&mut items_b, &mut vals_b);
+        let (mut cur_vals, mut nxt_vals) = (&mut vals_a, &mut vals_b);
         let mut cur_w = LOOKAHEAD.min(n);
-        self.order.step_block(rng, &mut cur_items[..cur_w]);
-        for k in 0..cur_w {
-            cur_vals[k] = scores.score(cur_items[k] as usize);
+        order.advance(rng, cur_w);
+        for (k, v) in cur_vals.iter_mut().enumerate().take(cur_w) {
+            *v = scores.score(order.prefix[k] as usize);
         }
-        let mut stepped = cur_w;
+        // The state lives in a local for the loop, so the comparisons
+        // never reload it through `svt`.
+        let mut state = svt.state;
+        let mut base = 0;
         let mut examined = 0;
         let mut survivors = 0;
-        'outer: while cur_w > 0 && !svt.is_halted() {
-            let next_w = LOOKAHEAD.min(n - stepped);
-            if next_w > 0 {
-                self.order.step_block(rng, &mut nxt_items[..next_w]);
-                for k in 0..next_w {
-                    nxt_vals[k] = scores.score(nxt_items[k] as usize);
-                }
-                stepped += next_w;
+        'outer: while cur_w > 0 && !state.is_halted() {
+            let next_base = base + cur_w;
+            let next_w = LOOKAHEAD.min(n - next_base);
+            order.advance(rng, next_w);
+            for (k, v) in nxt_vals.iter_mut().enumerate().take(next_w) {
+                *v = scores.score(order.prefix[next_base + k] as usize);
             }
             svt.take_noise(&mut self.noise, &mut nus[..cur_w]);
             for k in 0..cur_w {
+                let item = order.prefix[base + k];
                 examined += 1;
-                if svt.observe(cur_vals[k], threshold, nus[k]) {
-                    self.selected.push(cur_items[k] as usize);
+                // Scores are validated upstream.
+                if state.observe_unchecked(cur_vals[k], threshold, nus[k]) {
+                    self.selected.push(item as usize);
+                    if state.needs_rho_refresh() {
+                        state.refresh_rho(svt.next_rho())?;
+                    }
                 } else if COMPACT {
-                    self.order.prefix_set(survivors, cur_items[k]);
+                    order.prefix[survivors] = item;
                     survivors += 1;
                 }
-                if svt.is_halted() {
+                if state.is_halted() {
                     break 'outer;
                 }
             }
-            std::mem::swap(&mut cur_items, &mut nxt_items);
             std::mem::swap(&mut cur_vals, &mut nxt_vals);
+            base = next_base;
             cur_w = next_w;
         }
-        self.order.truncate_prefix(examined);
-        survivors
+        svt.state = state;
+        order.truncate_prefix(examined);
+        Ok(survivors)
     }
 
     /// Rewinds for an EM selection: empty selection and a zero-length
@@ -776,12 +791,17 @@ impl Default for RunScratch {
 const LOOKAHEAD: usize = 16;
 
 /// The comparison core of Algorithm 7 with prefetched query noise:
-/// `ρ` fixed at construction, one buffered `ν` per query, halt at `c`.
-/// Shared by [`svt_select_into`] and the retraversal streaming path.
-pub(crate) struct BatchedSvt {
+/// one buffered `ν` per query from the query family `D`, halt at `c`.
+/// One constructor per draw protocol: [`new`](Self::new) (SVT-S,
+/// SVT-ReTr), [`revisited`](BatchedSvt::revisited) and
+/// [`exp_noise`](BatchedSvt::exp_noise).
+pub(crate) struct BatchedSvt<D: BatchSample + Sync = Laplace> {
     noise_rng: DpRng,
     state: SessionState,
-    query_noise: Laplace,
+    query_noise: D,
+    /// SVT-Revisited's per-instance `ρ` law and its own generator,
+    /// consulted only after a ⊤.
+    refresh: Option<(Laplace, DpRng)>,
 }
 
 impl BatchedSvt {
@@ -801,39 +821,95 @@ impl BatchedSvt {
             noise_rng,
             state: SessionState::new(*config, rho)?,
             query_noise,
+            refresh: None,
         })
     }
 
-    pub(crate) fn is_halted(&self) -> bool {
-        self.state.is_halted()
+    /// SVT-Revisited's protocol (see [`revisited_select_from`]): fork
+    /// the query noise, fork the `ρ` refresh, draw the first `ρ` from
+    /// `rng`, charge per ⊤.
+    ///
+    /// # Errors
+    /// Configuration validation; rejects a numeric phase.
+    pub(crate) fn revisited(config: &StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
+        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
+        crate::error::check_cutoff(config.c)?;
+        let query_noise = Laplace::new(config.query_noise_scale()).map_err(SvtError::from)?;
+        let threshold_noise =
+            Laplace::new(config.revisited_threshold_noise_scale()).map_err(SvtError::from)?;
+        let noise_rng = rng.fork();
+        let threshold_rng = rng.fork();
+        let rho = threshold_noise.sample(rng);
+        Ok(Self {
+            noise_rng,
+            state: SessionState::with_policy(*config, rho, ChargePolicy::PerTop)?,
+            query_noise,
+            refresh: Some((threshold_noise, threshold_rng)),
+        })
     }
+}
 
-    /// The threshold noise `ρ` drawn at construction.
+impl BatchedSvt<Exponential> {
+    /// Exponential-noise SVT's protocol (see [`exp_noise_select_from`]):
+    /// fork the query noise, then draw `ρ = Exp(Δ/ε₁)` from `rng`.
+    ///
+    /// # Errors
+    /// Configuration validation; rejects a numeric phase (one-sided
+    /// noise is not DP for numeric release).
+    pub(crate) fn exp_noise(config: &StandardSvtConfig, rng: &mut DpRng) -> Result<Self> {
+        dp_mechanisms::error::check_sensitivity(config.sensitivity).map_err(SvtError::from)?;
+        crate::error::check_cutoff(config.c)?;
+        let query_noise = Exponential::new(config.query_noise_scale()).map_err(SvtError::from)?;
+        let threshold_noise =
+            Exponential::new(config.threshold_noise_scale()).map_err(SvtError::from)?;
+        if config.budget.has_numeric_phase() {
+            return Err(SvtError::from(
+                dp_mechanisms::MechanismError::InvalidParameter(
+                    "one-sided exponential noise is not DP for numeric release",
+                ),
+            ));
+        }
+        let noise_rng = rng.fork();
+        let rho = threshold_noise.sample(rng);
+        Ok(Self {
+            noise_rng,
+            state: SessionState::new(*config, rho)?,
+            query_noise,
+            refresh: None,
+        })
+    }
+}
+
+impl<D: BatchSample + Sync> BatchedSvt<D> {
+    /// The threshold noise `ρ` in force.
     pub(crate) fn rho(&self) -> f64 {
         self.state.rho()
     }
 
-    /// The query-noise distribution `ν ~ Lap(·/ε₂)`.
-    pub(crate) fn query_noise(&self) -> &Laplace {
+    /// The query-noise distribution.
+    pub(crate) fn query_noise(&self) -> &D {
         &self.query_noise
     }
 
     /// Pulls the next `out.len()` query-noise values in one block —
     /// the same ν stream per-draw [`NoiseBuffer::next`] calls would
-    /// hand out, without the per-draw buffer bookkeeping. Pair with
-    /// [`observe`](Self::observe).
+    /// hand out, without the per-draw buffer bookkeeping.
     #[inline]
-    pub(crate) fn take_noise(&mut self, noise: &mut NoiseBuffer, out: &mut [f64]) {
+    fn take_noise(&mut self, noise: &mut NoiseBuffer, out: &mut [f64]) {
         noise.take_into(&self.query_noise, &mut self.noise_rng, out);
     }
 
-    /// Lines 3–9 of Algorithm 7 for one query — does `q + ν ≥ T + ρ`? —
-    /// with the ν drawn up front by [`take_noise`](Self::take_noise).
-    /// Scores are validated upstream, so the unchecked transition
-    /// applies; callers stop at [`is_halted`](Self::is_halted).
-    #[inline]
-    pub(crate) fn observe(&mut self, query_answer: f64, threshold: f64, nu: f64) -> bool {
-        self.state.observe_unchecked(query_answer, threshold, nu)
+    /// A fresh `ρ` for the next cutoff-1 instance of an SVT-Revisited
+    /// run, drawn from the refresh fork. It returns the value instead
+    /// of writing the caller's state, so the window loop's local state
+    /// never escapes into this out-of-line call.
+    #[cold]
+    fn next_rho(&mut self) -> f64 {
+        let (law, rng) = self
+            .refresh
+            .as_mut()
+            .expect("ρ is only redrawn under per-⊤ charging");
+        law.sample(rng)
     }
 }
 
@@ -884,7 +960,7 @@ pub fn svt_select_into(
 /// bit-identical selections from the same generator state.
 ///
 /// Internally the traversal runs a two-deep pipeline of
-/// [`LOOKAHEAD`]-sized windows: order positions are stepped ahead of
+/// `LOOKAHEAD`-sized windows: order positions are stepped ahead of
 /// the comparisons so their score reads issue back-to-back and the
 /// cache misses resolve under the previous window's observations. The
 /// pipeline changes no draw value (the order steps are the loop's only
@@ -903,7 +979,7 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
 ) -> Result<()> {
     let mut svt = BatchedSvt::new(&config.to_standard()?, rng)?;
     scratch.begin_run(scores.len());
-    scratch.window_pass::<S, false>(scores, threshold, &mut svt, rng);
+    scratch.window_pass::<S, _, false>(scores, threshold, &mut svt, rng)?;
     Ok(())
 }
 
@@ -933,7 +1009,9 @@ pub fn svt_select_from<S: ScoreSource + ?Sized>(
 /// query noise runs in the [`NoiseBuffer`]'s *chunked* mode — the fork
 /// seeds a counter-derived chunk family prefilled by
 /// [`RunScratch::set_noise_threads`] threads, bit-identical for every
-/// thread count.
+/// thread count. The comparisons run through the same window loop as
+/// [`svt_select_from`]; with the order already materialized, only the
+/// score reads pipeline.
 ///
 /// [`SessionDriver::open_revisited`]: crate::session::SessionDriver::open_revisited
 ///
@@ -948,64 +1026,11 @@ pub fn revisited_select_from<S: ScoreSource + ?Sized>(
     rng: &mut DpRng,
     scratch: &mut RunScratch,
 ) -> Result<()> {
-    let cfg = config.to_standard()?;
-    dp_mechanisms::error::check_sensitivity(cfg.sensitivity).map_err(SvtError::from)?;
-    crate::error::check_cutoff(cfg.c)?;
-    let query_noise = Laplace::new(cfg.query_noise_scale()).map_err(SvtError::from)?;
-    let threshold_noise =
-        Laplace::new(cfg.revisited_threshold_noise_scale()).map_err(SvtError::from)?;
-    let mut noise_rng = rng.fork();
-    let mut threshold_rng = rng.fork();
-    let rho = threshold_noise.sample(rng);
-    let mut state = SessionState::with_policy(cfg, rho, ChargePolicy::PerTop)?;
+    let mut svt = BatchedSvt::revisited(&config.to_standard()?, rng)?;
     scratch.begin_run(scores.len());
-    let threads = scratch.noise_threads;
-    scratch.noise.enable_chunked(threads);
+    scratch.noise.enable_chunked(scratch.noise_threads);
     scratch.order.reset_eager(scores.len(), rng);
-    let n = scores.len();
-    // Same two-deep window pipeline as `svt_select_from` (the order is
-    // already materialized, so only the score reads pipeline): window
-    // `w + 1`'s reads are in flight while window `w` is observed.
-    let (mut vals_a, mut vals_b) = ([0.0f64; LOOKAHEAD], [0.0f64; LOOKAHEAD]);
-    let (mut cur_vals, mut nxt_vals) = (&mut vals_a, &mut vals_b);
-    let mut nus = [0.0f64; LOOKAHEAD];
-    let mut base = 0;
-    let mut cur_w = LOOKAHEAD.min(n);
-    for (k, v) in cur_vals.iter_mut().enumerate().take(cur_w) {
-        *v = scores.score(scratch.order.eager_at(k) as usize);
-    }
-    let mut taken = 0;
-    'outer: while cur_w > 0 && !state.is_halted() {
-        let next_base = base + cur_w;
-        let next_w = LOOKAHEAD.min(n - next_base);
-        for (k, v) in nxt_vals.iter_mut().enumerate().take(next_w) {
-            *v = scores.score(scratch.order.eager_at(next_base + k) as usize);
-        }
-        // Block-pull the window's ν values (same stream as per-draw
-        // `next`; a halt strands at most `LOOKAHEAD - 1` of them, which
-        // is unobservable — the fork dies with this call).
-        scratch
-            .noise
-            .take_into(&query_noise, &mut noise_rng, &mut nus[..cur_w]);
-        for (k, &val) in cur_vals.iter().enumerate().take(cur_w) {
-            let item = scratch.order.eager_at(base + k) as usize;
-            taken += 1;
-            let nu = nus[k];
-            if state.observe_unchecked(val, threshold, nu) {
-                scratch.selected.push(item);
-                if state.needs_rho_refresh() {
-                    state.refresh_rho(threshold_noise.sample(&mut threshold_rng))?;
-                }
-            }
-            if state.is_halted() {
-                break 'outer;
-            }
-        }
-        std::mem::swap(&mut cur_vals, &mut nxt_vals);
-        base = next_base;
-        cur_w = next_w;
-    }
-    scratch.order.mark_taken(taken);
+    scratch.window_pass::<S, _, false>(scores, threshold, &mut svt, rng)?;
     Ok(())
 }
 
@@ -1021,6 +1046,9 @@ pub fn revisited_select_from<S: ScoreSource + ?Sized>(
 /// 3. per examined position: one shuffle step from `rng`, one buffered
 ///    `ν = Exp(kcΔ/ε₂)` from the fork.
 ///
+/// The traversal is [`svt_select_from`]'s lookahead window loop, so on
+/// an early halt `rng` has advanced by the same few extra order draws.
+///
 /// # Errors
 /// Propagates configuration validation; like
 /// [`ExpNoiseSvt::new`](crate::alg::ExpNoiseSvt::new), rejects budgets
@@ -1032,32 +1060,9 @@ pub fn exp_noise_select_from<S: ScoreSource + ?Sized>(
     rng: &mut DpRng,
     scratch: &mut RunScratch,
 ) -> Result<()> {
-    let cfg = config.to_standard()?;
-    dp_mechanisms::error::check_sensitivity(cfg.sensitivity).map_err(SvtError::from)?;
-    crate::error::check_cutoff(cfg.c)?;
-    let query_noise = Exponential::new(cfg.query_noise_scale()).map_err(SvtError::from)?;
-    let threshold_noise = Exponential::new(cfg.threshold_noise_scale()).map_err(SvtError::from)?;
-    if cfg.budget.has_numeric_phase() {
-        return Err(SvtError::from(
-            dp_mechanisms::MechanismError::InvalidParameter(
-                "one-sided exponential noise is not DP for numeric release",
-            ),
-        ));
-    }
-    let mut noise_rng = rng.fork();
-    let rho = threshold_noise.sample(rng);
-    let mut state = SessionState::new(cfg, rho)?;
+    let mut svt = BatchedSvt::exp_noise(&config.to_standard()?, rng)?;
     scratch.begin_run(scores.len());
-    for _ in 0..scores.len() {
-        if state.is_halted() {
-            break;
-        }
-        let item = scratch.order.step(rng) as usize;
-        let nu = scratch.noise.next(&query_noise, &mut noise_rng);
-        if state.observe_unchecked(scores.score(item), threshold, nu) {
-            scratch.selected.push(item);
-        }
-    }
+    scratch.window_pass::<S, _, false>(scores, threshold, &mut svt, rng)?;
     Ok(())
 }
 
@@ -1217,8 +1222,8 @@ mod tests {
             let mut eager_rng = DpRng::seed_from_u64(seed);
             let mut eager = SparseOrder::new();
             eager.reset_eager(n, &mut eager_rng);
-            let got: Vec<u32> = (0..n).map(|i| eager.eager_at(i)).collect();
-            eager.mark_taken(n);
+            let mut got = vec![0u32; n];
+            eager.step_block(&mut eager_rng, &mut got);
             let mut step_rng = DpRng::seed_from_u64(seed);
             let mut stepped = SparseOrder::new();
             stepped.reset(n);
@@ -1695,6 +1700,280 @@ mod tests {
                 scratch_b.selected(),
                 "exp seed {seed}"
             );
+        }
+    }
+
+    /// Deterministic 12,007-item scores for the recorded driver runs:
+    /// 211 distinct values, and a length that is not a multiple of the
+    /// lookahead window.
+    fn driver_golden_scores() -> Vec<f64> {
+        (0..12_007)
+            .map(|i| f64::from((i * 37) % 211) * 2.0)
+            .collect()
+    }
+
+    /// SVT-Revisited runs recorded from the driver's original private
+    /// pipeline: `(epsilon, c, threshold, seed, examined, selection)`
+    /// over [`driver_golden_scores`] with the `1 : c^{2/3}` ratio.
+    #[allow(clippy::type_complexity)]
+    const RV_GOLDENS: &[(f64, usize, f64, u64, usize, &[usize])] = &[
+        (1.0, 5, 400.0, 3, 60, &[10607, 279, 10561, 5828, 11753]),
+        (1.0, 5, 400.0, 17, 86, &[6398, 8092, 1591, 8662, 6267]),
+        (
+            0.5,
+            25,
+            380.0,
+            3,
+            12_007,
+            &[
+                3045, 5695, 2489, 5713, 11490, 3261, 1975, 10997, 3369, 6595, 11101, 5508,
+            ],
+        ),
+        (
+            0.3,
+            12,
+            430.0,
+            17,
+            12_007,
+            &[2245, 91, 2098, 2192, 11785, 3877],
+        ),
+        (2.0, 3, 300.0, 5, 8, &[45, 7909, 10578]),
+        (
+            0.1,
+            8,
+            450.0,
+            9,
+            3143,
+            &[6409, 11570, 6962, 10680, 136, 11046, 1212, 3928],
+        ),
+    ];
+
+    /// Exponential-noise SVT runs recorded from the driver's original
+    /// one-ν-at-a-time loop, in the [`RV_GOLDENS`] layout. The longer
+    /// runs cross the order's densify trigger (n/8) or never halt.
+    #[allow(clippy::type_complexity)]
+    const EXP_GOLDENS: &[(f64, usize, f64, u64, usize, &[usize])] = &[
+        (1.0, 5, 400.0, 3, 69, &[4391, 5828, 1682, 11753, 2509]),
+        (
+            1.0,
+            10,
+            380.0,
+            17,
+            55,
+            &[8114, 8388, 8565, 7681, 11576, 9871, 1830, 6244, 10253, 8092],
+        ),
+        (
+            0.5,
+            25,
+            380.0,
+            3,
+            172,
+            &[
+                8226, 883, 11097, 4391, 2959, 11307, 2073, 10759, 5828, 5810, 1682, 323, 10270,
+                752, 11753, 2509, 7361, 9112, 6592, 188, 2576, 9797, 1397, 4395, 501,
+            ],
+        ),
+        (2.0, 3, 300.0, 5, 9, &[3460, 7909, 10578]),
+        (
+            0.1,
+            8,
+            450.0,
+            9,
+            77,
+            &[3272, 2205, 11570, 7698, 8913, 1476, 6714, 2212],
+        ),
+        (1.0, 5, 430.0, 3, 1489, &[6387, 1112, 6039, 4699, 8554]),
+        (1.0, 5, 440.0, 11, 8724, &[11354, 11508, 9974, 1146, 3644]),
+        (2.0, 3, 425.0, 7, 7062, &[6809, 4277, 1112]),
+        (1.0, 5, 450.0, 11, 12_007, &[]),
+    ];
+
+    #[test]
+    fn revisited_runs_match_recorded_selections() {
+        // Same selection and examined count from a slice and from its
+        // grouped snapshot, under both kernels and 1 or 4 noise threads.
+        let scores = driver_golden_scores();
+        let groups = dp_data::GroupedSnapshot::from_scores(&scores).unwrap();
+        for &(eps, c, threshold, seed, examined, want) in RV_GOLDENS {
+            let cfg = counting(eps, c);
+            for threads in [1usize, 4] {
+                for mut scratch in [RunScratch::new(), RunScratch::with_noise_batch(1)] {
+                    scratch.set_noise_threads(threads);
+                    let mut rng = DpRng::seed_from_u64(seed);
+                    revisited_select_from(&scores[..], threshold, &cfg, &mut rng, &mut scratch)
+                        .unwrap();
+                    assert_eq!(scratch.selected(), want, "slice, seed {seed}, {threads}t");
+                    assert_eq!(
+                        scratch.examined(),
+                        examined,
+                        "slice, seed {seed}, {threads}t"
+                    );
+                    let mut rng = DpRng::seed_from_u64(seed);
+                    revisited_select_from(&groups, threshold, &cfg, &mut rng, &mut scratch)
+                        .unwrap();
+                    assert_eq!(scratch.selected(), want, "grouped, seed {seed}, {threads}t");
+                    assert_eq!(scratch.examined(), examined, "grouped, seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exp_noise_runs_match_recorded_selections() {
+        let scores = driver_golden_scores();
+        let groups = dp_data::GroupedSnapshot::from_scores(&scores).unwrap();
+        for &(eps, c, threshold, seed, examined, want) in EXP_GOLDENS {
+            let cfg = counting(eps, c);
+            for mut scratch in [RunScratch::new(), RunScratch::with_noise_batch(1)] {
+                let mut rng = DpRng::seed_from_u64(seed);
+                exp_noise_select_from(&scores[..], threshold, &cfg, &mut rng, &mut scratch)
+                    .unwrap();
+                assert_eq!(scratch.selected(), want, "slice, seed {seed}");
+                assert_eq!(scratch.examined(), examined, "slice, seed {seed}");
+                let mut rng = DpRng::seed_from_u64(seed);
+                exp_noise_select_from(&groups, threshold, &cfg, &mut rng, &mut scratch).unwrap();
+                assert_eq!(scratch.selected(), want, "grouped, seed {seed}");
+                assert_eq!(scratch.examined(), examined, "grouped, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn exp_noise_driver_is_noise_batch_size_invariant() {
+        let scores = driver_golden_scores();
+        let cfg = counting(1.0, 5);
+        let run = |batch: usize, seed: u64| {
+            let mut rng = DpRng::seed_from_u64(seed);
+            let mut scratch = RunScratch::with_noise_batch(batch);
+            exp_noise_select_from(&scores[..], 440.0, &cfg, &mut rng, &mut scratch).unwrap();
+            (scratch.selected().to_vec(), scratch.examined())
+        };
+        for seed in [3u64, 11, 29] {
+            let reference = run(1, seed);
+            for batch in [4usize, 256, 2048] {
+                assert_eq!(run(batch, seed), reference, "batch {batch}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn exp_noise_driver_respects_cutoff_and_halts() {
+        let scores = vec![1e9f64; 40];
+        let mut rng = DpRng::seed_from_u64(1051);
+        let mut scratch = RunScratch::new();
+        exp_noise_select_from(&scores[..], 0.0, &counting(1.0, 3), &mut rng, &mut scratch).unwrap();
+        assert_eq!(scratch.selected().len(), 3);
+        assert_eq!(scratch.examined(), 3, "halt must stop the traversal");
+    }
+
+    #[test]
+    fn batched_drivers_examine_everything_when_nothing_crosses() {
+        // A threshold far above every score: each driver walks the
+        // whole list, selects nothing, and reports n examined (the
+        // eager order included).
+        let scores: Vec<f64> = (0..1000).map(f64::from).collect();
+        let cfg = counting(1.0, 4);
+        let mut rng = DpRng::seed_from_u64(1061);
+        let mut scratch = RunScratch::new();
+        svt_select_from(&scores[..], 1e9, &cfg, &mut rng, &mut scratch).unwrap();
+        assert_eq!((scratch.selected().len(), scratch.examined()), (0, 1000));
+        revisited_select_from(&scores[..], 1e9, &cfg, &mut rng, &mut scratch).unwrap();
+        assert_eq!((scratch.selected().len(), scratch.examined()), (0, 1000));
+        exp_noise_select_from(&scores[..], 1e9, &cfg, &mut rng, &mut scratch).unwrap();
+        assert_eq!((scratch.selected().len(), scratch.examined()), (0, 1000));
+    }
+
+    #[test]
+    fn batched_drivers_select_nothing_from_empty_scores() {
+        let cfg = counting(1.0, 5);
+        let mut rng = DpRng::seed_from_u64(1063);
+        let mut scratch = RunScratch::new();
+        revisited_select_from(&[][..], 0.0, &cfg, &mut rng, &mut scratch).unwrap();
+        assert_eq!((scratch.selected().len(), scratch.examined()), (0, 0));
+        exp_noise_select_from(&[][..], 0.0, &cfg, &mut rng, &mut scratch).unwrap();
+        assert_eq!((scratch.selected().len(), scratch.examined()), (0, 0));
+    }
+
+    #[test]
+    fn eager_order_hands_out_blocks_and_records_the_examined_count() {
+        // Eager mode inside the window loop: `step_block` copies the
+        // materialized order without drawing, and `truncate_prefix`
+        // records how many positions were examined.
+        let n = 100;
+        let mut rng = DpRng::seed_from_u64(71);
+        let mut order = SparseOrder::new();
+        order.reset_eager(n, &mut rng);
+        let mut full: Vec<u32> = (0..n as u32).collect();
+        DpRng::seed_from_u64(71).shuffle_forward(&mut full);
+        let after_shuffle = rng.clone().next_u64();
+        let (mut a, mut b) = ([0u32; 16], [0u32; 16]);
+        order.step_block(&mut rng, &mut a);
+        order.step_block(&mut rng, &mut b);
+        assert_eq!(a[..], full[..16]);
+        assert_eq!(b[..], full[16..32]);
+        assert_eq!(order.emitted(), 32);
+        order.truncate_prefix(21);
+        assert_eq!(order.emitted(), 21);
+        assert_eq!(order.prefix(), &full[..21]);
+        assert_eq!(rng.next_u64(), after_shuffle, "eager blocks draw nothing");
+    }
+
+    fn numeric_config() -> StandardSvtConfig {
+        StandardSvtConfig {
+            budget: dp_mechanisms::SvtBudget::new(0.25, 0.25, 0.5).unwrap(),
+            sensitivity: 1.0,
+            c: 3,
+            monotonic: true,
+        }
+    }
+
+    #[test]
+    fn revisited_and_exp_noise_constructors_reject_a_numeric_phase() {
+        let mut rng = DpRng::seed_from_u64(73);
+        assert!(BatchedSvt::revisited(&numeric_config(), &mut rng).is_err());
+        assert!(BatchedSvt::exp_noise(&numeric_config(), &mut rng).is_err());
+        assert!(BatchedSvt::new(&numeric_config(), &mut rng).is_ok());
+    }
+
+    #[test]
+    fn revisited_redraws_rho_from_its_fork_after_each_non_final_top() {
+        // c = 3 and every score crossing: three ⊤s, two refreshes (the
+        // final ⊤ closes the run without one), all drawn from the
+        // second fork of the run generator.
+        let cfg = counting(1.0, 3).to_standard().unwrap();
+        let law = Laplace::new(cfg.revisited_threshold_noise_scale()).unwrap();
+        let mut replica = DpRng::seed_from_u64(79);
+        let _query_fork = replica.fork();
+        let mut refresh_fork = replica.fork();
+        let first_rho = law.sample(&mut replica);
+
+        let mut rng = DpRng::seed_from_u64(79);
+        let mut svt = BatchedSvt::revisited(&cfg, &mut rng).unwrap();
+        assert_eq!(svt.rho(), first_rho);
+        let scores = vec![1e9f64; 50];
+        let mut scratch = RunScratch::new();
+        scratch.begin_run(scores.len());
+        scratch
+            .window_pass::<_, _, false>(&scores[..], 0.0, &mut svt, &mut rng)
+            .unwrap();
+        assert_eq!(scratch.selected().len(), 3);
+        law.sample(&mut refresh_fork);
+        assert_eq!(svt.rho(), law.sample(&mut refresh_fork));
+    }
+
+    #[test]
+    fn exp_noise_constructor_draws_a_one_sided_rho_after_the_fork() {
+        let cfg = counting(0.5, 4).to_standard().unwrap();
+        let law = Exponential::new(cfg.threshold_noise_scale()).unwrap();
+        for seed in [83u64, 89, 97] {
+            let mut replica = DpRng::seed_from_u64(seed);
+            let _query_fork = replica.fork();
+            let want = law.sample(&mut replica);
+            let mut rng = DpRng::seed_from_u64(seed);
+            let svt = BatchedSvt::exp_noise(&cfg, &mut rng).unwrap();
+            assert!(svt.rho() >= 0.0);
+            assert_eq!(svt.rho(), want, "seed {seed}");
+            assert_eq!(rng.next_u64(), replica.next_u64(), "seed {seed}");
         }
     }
 }

@@ -149,12 +149,11 @@ fn reference_preference(algorithm: &str) -> &'static [&'static str] {
     }
 }
 
-/// Deterministic power-law scores (the same shape `svt-bench` uses),
-/// deterministically shuffled: real datasets do not hand out item ids
-/// in rank order, and an already-sorted vector would let the cold
-/// context build skip most of its sort (pdqsort detects the run),
-/// understating exactly the cost the warm-start column exists to
-/// measure.
+/// Deterministic power-law scores (`100000 / r^0.8`), deterministically
+/// shuffled: real datasets do not hand out item ids in rank order, and
+/// an already-sorted vector would let the cold context build skip most
+/// of its sort (pdqsort detects the run), understating exactly the cost
+/// the warm-start column exists to measure.
 fn powerlaw_scores(n: usize) -> ScoreVector {
     let mut v: Vec<f64> = (1..=n as u64)
         .map(|r| (100_000.0 / (r as f64).powf(0.8)).round())

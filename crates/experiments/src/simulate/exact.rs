@@ -9,17 +9,15 @@
 //! cell costs `O(log G + c)` — no private sort, no `O(n)` pass, no
 //! per-context lazy-grouping cells.
 
-use crate::simulate::{retraversal_config, RunOutcome, SweepContext};
+use crate::simulate::{retraversal_config, run_streaming, RunOutcome, SweepContext};
 use crate::spec::AlgorithmSpec;
 use dp_data::{RankCut, ScoreVector};
 use dp_mechanisms::DpRng;
-use svt_core::alg::{Alg2, ExpNoiseSvt, SvtRevisited};
+use svt_core::alg::{ExpNoiseSvt, SvtRevisited};
 use svt_core::em_select::EmTopC;
 use svt_core::noninteractive::{dpbook_select, select_with, svt_select, SvtSelectConfig};
-use svt_core::retraversal::{svt_retraversal, svt_retraversal_into};
-use svt_core::streaming::{
-    exp_noise_select_from, revisited_select_from, select_streaming, svt_select_into, RunScratch,
-};
+use svt_core::retraversal::svt_retraversal;
+use svt_core::streaming::RunScratch;
 use svt_core::Result;
 
 /// Precomputed per-`(dataset, c)` state for the exact engine.
@@ -135,37 +133,16 @@ impl<'a> ExactContext<'a> {
         rng: &mut DpRng,
         scratch: &mut RunScratch,
     ) -> Result<RunOutcome> {
-        let threshold = self.cut.threshold;
-        match alg {
-            AlgorithmSpec::DpBook => {
-                let mut alg2 = Alg2::new(epsilon, 1.0, self.c, rng)?;
-                select_streaming(&mut alg2, self.scores, threshold, rng, scratch)?;
-            }
-            AlgorithmSpec::Standard { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                svt_select_into(self.scores, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::Retraversal { ratio, increment_d } => {
-                let cfg = retraversal_config(epsilon, self.c, *ratio, *increment_d);
-                svt_retraversal_into(self.scores, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::Em => {
-                EmTopC::new(epsilon, self.c, 1.0, true)?.select_grouped_into(
-                    self.sweep.groups(),
-                    rng,
-                    scratch,
-                )?;
-            }
-            AlgorithmSpec::Revisited { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                revisited_select_from(self.scores, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::ExpNoise { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                exp_noise_select_from(self.scores, threshold, &cfg, rng, scratch)?;
-            }
-        }
-        Ok(self.outcome(scratch.selected()))
+        run_streaming(
+            self.scores,
+            self.sweep,
+            &self.cut,
+            self.c,
+            alg,
+            epsilon,
+            rng,
+            scratch,
+        )
     }
 
     /// Executes one EM run through the per-item-key sampler

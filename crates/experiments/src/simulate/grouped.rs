@@ -47,18 +47,11 @@
 //! [`ScoreSource`]: svt_core::ScoreSource
 //! [`EmTopC::select_grouped_into`]: svt_core::em_select::EmTopC::select_grouped_into
 
-use crate::simulate::{retraversal_config, RunOutcome, SweepContext};
+use crate::simulate::{run_streaming, RunOutcome, SweepContext};
 use crate::spec::AlgorithmSpec;
 use dp_data::{GroupedSnapshot, RankCut};
 use dp_mechanisms::DpRng;
-use svt_core::alg::Alg2;
-use svt_core::em_select::EmTopC;
-use svt_core::noninteractive::SvtSelectConfig;
-use svt_core::retraversal::svt_retraversal_from;
-use svt_core::streaming::{
-    exp_noise_select_from, revisited_select_from, select_streaming_from, svt_select_from,
-    RunScratch,
-};
+use svt_core::streaming::RunScratch;
 use svt_core::Result;
 
 /// Precomputed per-`(dataset, c)` state for the grouped engine: a
@@ -110,35 +103,16 @@ impl<'a> GroupedContext<'a> {
         rng: &mut DpRng,
         scratch: &mut RunScratch,
     ) -> Result<RunOutcome> {
-        let groups = self.sweep.groups();
-        let threshold = self.cut.threshold;
-        match alg {
-            AlgorithmSpec::DpBook => {
-                let mut alg2 = Alg2::new(epsilon, 1.0, self.c, rng)?;
-                select_streaming_from(&mut alg2, groups, threshold, rng, scratch)?;
-            }
-            AlgorithmSpec::Standard { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                svt_select_from(groups, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::Retraversal { ratio, increment_d } => {
-                let cfg = retraversal_config(epsilon, self.c, *ratio, *increment_d);
-                svt_retraversal_from(groups, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::Em => {
-                EmTopC::new(epsilon, self.c, 1.0, true)?
-                    .select_grouped_into(groups, rng, scratch)?;
-            }
-            AlgorithmSpec::Revisited { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                revisited_select_from(groups, threshold, &cfg, rng, scratch)?;
-            }
-            AlgorithmSpec::ExpNoise { ratio } => {
-                let cfg = SvtSelectConfig::counting(epsilon, self.c, *ratio);
-                exp_noise_select_from(groups, threshold, &cfg, rng, scratch)?;
-            }
-        }
-        Ok(self.sweep.outcome(&self.cut, scratch.selected()))
+        run_streaming(
+            self.sweep.groups(),
+            self.sweep,
+            &self.cut,
+            self.c,
+            alg,
+            epsilon,
+            rng,
+            scratch,
+        )
     }
 }
 

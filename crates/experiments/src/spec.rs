@@ -146,7 +146,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// A scaled-down grid for smoke tests and `cargo bench` figure
+    /// A scaled-down grid for smoke tests and `--quick` figure
     /// regeneration (3 c-values, 10 runs).
     pub fn quick() -> Self {
         Self {
