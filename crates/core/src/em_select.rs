@@ -20,12 +20,15 @@
 //! *max-stability* over runs of tied scores ([`GroupedSnapshot`]) to
 //! draw one lazy order-statistics sampler per score *group* instead of
 //! one key per item — `O(G + c)` draws for `G` distinct scores — which
-//! is what the experiment harness's exact engine runs by default.
+//! is what the experiment harness's engines run by default. Both draw
+//! their keys through the libm transform ([`Gumbel::sample_into`],
+//! [`GumbelMax::next_key`]): for the Gumbel double log it measured
+//! faster than the polynomial `ln`.
 
 use crate::streaming::{DisplacementMap, RunScratch};
 use crate::{Result, SvtError};
 use dp_data::GroupedSnapshot;
-use dp_mechanisms::{BatchSample, DpRng, ExponentialMechanism, Gumbel, GumbelMax, MechanismError};
+use dp_mechanisms::{DpRng, ExponentialMechanism, Gumbel, GumbelMax, MechanismError};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -269,7 +272,6 @@ impl EmTopC {
         scratch: &mut RunScratch,
     ) -> Result<()> {
         let factor = self.key_factor()?;
-        let kernel = scratch.kernel();
         scratch.begin_em_run();
         let (em, selected) = scratch.em_parts();
         if scores.is_empty() {
@@ -285,7 +287,7 @@ impl EmTopC {
         let mut index = 0u32;
         for chunk in scores.chunks(GUMBEL_CHUNK) {
             let keys = &mut em.noise[..chunk.len()];
-            gumbel.sample_into_kernel(rng, keys, kernel);
+            gumbel.sample_into(rng, keys);
             for (&score, key) in chunk.iter().zip(keys.iter_mut()) {
                 if !score.is_finite() {
                     return Err(SvtError::Mechanism(MechanismError::NonFiniteScore {
@@ -372,7 +374,6 @@ impl EmTopC {
         scratch: &mut RunScratch,
     ) -> Result<()> {
         let factor = self.key_factor()?;
-        let kernel = scratch.kernel();
         scratch.begin_em_run();
         let (em, selected) = scratch.em_parts();
         if groups.len_items() == 0 {
@@ -389,9 +390,7 @@ impl EmTopC {
         for g in 0..groups.num_groups() {
             let dist = Gumbel::new(factor * groups.score(g), 1.0).map_err(SvtError::from)?;
             let mut keys = GumbelMax::new(dist, groups.len(g)).map_err(SvtError::from)?;
-            let key = keys
-                .next_key_with(rng, kernel)
-                .expect("score groups are nonempty");
+            let key = keys.next_key(rng).expect("score groups are nonempty");
             em.groups.push(GroupCursor {
                 keys,
                 remaining: groups.len(g) as u32,
@@ -430,7 +429,7 @@ impl EmTopC {
             if cursor.remaining > 0 {
                 let key = cursor
                     .keys
-                    .next_key_with(rng, kernel)
+                    .next_key(rng)
                     .expect("remaining members imply remaining order statistics");
                 heap.push(GroupKey { key, group });
             }

@@ -639,7 +639,7 @@ mod tests {
     fn pass_one_runs_match_recorded_selections() {
         // Pass 1 runs on the pipelined window driver; for runs that end
         // there it must stay draw-for-draw a per-item loop, on both
-        // score sources and both noise kernels. The 1166-item case
+        // score sources and two noise batch sizes. The 1166-item case
         // crosses the order's densify trigger (n/8).
         let scores = golden_scores();
         let groups = dp_data::GroupedSnapshot::from_scores(&scores).unwrap();

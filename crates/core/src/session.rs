@@ -20,10 +20,13 @@
 //!   4–9 of Algorithm 7.
 //! - [`SessionDriver`] is the **thin I/O layer**: it owns a forked
 //!   noise generator and a [`NoiseBuffer`], draws `ν` through the
-//!   batched fill path, and feeds the state machine. Because batched
-//!   fills are stream-equivalent to scalar draws (the `BatchSample`
-//!   contract), a driver answering a prefetched batch of queries is
-//!   bit-identical to one answering them one at a time.
+//!   buffer's vectorized Laplace fill, and feeds the state machine.
+//!   Each buffered value depends only on its own uniform and the fill
+//!   is batch-size invariant (the `BatchSample` contract), so a driver
+//!   answering a prefetched batch of queries is bit-identical to one
+//!   answering them one at a time. `ν` is never released; the numeric
+//!   phase draws its released values with the scalar
+//!   `Laplace::sample` on its own fork.
 //!
 //! ## Draw protocol (pinned)
 //!

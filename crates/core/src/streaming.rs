@@ -20,9 +20,13 @@
 //!   eager mode ([`SparseOrder::reset_eager`]): the same draws, made
 //!   upfront in one tight pass.
 //! * **Batched noise** — the per-query `ν` comes from a [`NoiseBuffer`]
-//!   refilled block-wise via the noise family's batched fill, drawn
-//!   from a dedicated forked generator so the handed-out noise stream
-//!   is bit-identical for every batch size.
+//!   refilled block-wise via the noise family's
+//!   [`BatchSample::sample_into_vectorized`] fill (the polynomial-`ln`
+//!   transform for Laplace and Exponential noise), drawn from a
+//!   dedicated forked generator so the handed-out noise stream is
+//!   bit-identical for every batch size. EM keys keep the libm
+//!   transform ([`crate::em_select`]). No scratch or driver takes a
+//!   transform choice.
 //!
 //! ## One observe loop
 //!
@@ -62,7 +66,7 @@ use crate::{Result, SvtError};
 use dp_data::GroupedSnapshot;
 use dp_mechanisms::exp_noise::Exponential;
 use dp_mechanisms::laplace::Laplace;
-use dp_mechanisms::{BatchSample, DpRng, NoiseBuffer, NoiseKernel};
+use dp_mechanisms::{BatchSample, DpRng, NoiseBuffer};
 
 /// Per-item score access for the streaming selection paths.
 ///
@@ -587,41 +591,23 @@ pub struct RunScratch {
 }
 
 impl RunScratch {
-    /// Creates empty scratch with the default noise batch size and the
-    /// [`NoiseKernel::Vectorized`] transform — the configuration both
-    /// mirror simulation engines run. Engines are compared against
-    /// *each other* (both consume the same kernel), so the vectorized
-    /// default keeps every cross-engine bit-identity pin while taking
-    /// the fast batched log.
+    /// Creates empty scratch with the default noise batch size.
     pub fn new() -> Self {
-        Self::with_kernel(NoiseBuffer::DEFAULT_BATCH, NoiseKernel::Vectorized)
+        Self::with_noise_batch(NoiseBuffer::DEFAULT_BATCH)
     }
 
-    /// Creates empty scratch with an explicit noise batch size and the
-    /// [`NoiseKernel::Reference`] transform (the selection output is
-    /// then bit-identical to scalar sampling for every batch size; this
-    /// knob exists for tests, tuning, and scalar-history comparisons).
+    /// Creates empty scratch with an explicit noise batch size. The
+    /// batch size never changes a selection (the [`NoiseBuffer`] stream
+    /// is batch-size invariant); this knob exists for tests and tuning.
     pub fn with_noise_batch(batch: usize) -> Self {
-        Self::with_kernel(batch, NoiseKernel::Reference)
-    }
-
-    /// Creates empty scratch with an explicit batch size and transform
-    /// kernel.
-    pub fn with_kernel(batch: usize, kernel: NoiseKernel) -> Self {
         Self {
             order: SparseOrder::new(),
             selected: Vec::new(),
-            noise: NoiseBuffer::with_kernel(batch, kernel),
+            noise: NoiseBuffer::with_batch(batch),
             em: EmScratch::new(),
             pass_keys: Vec::new(),
             noise_threads: 1,
         }
-    }
-
-    /// The noise transform kernel this scratch's runs use.
-    #[inline]
-    pub fn kernel(&self) -> NoiseKernel {
-        self.noise.kernel()
     }
 
     /// Sets how many threads prefill chunked noise streams (clamped to
@@ -1549,42 +1535,41 @@ mod tests {
     }
 
     #[test]
-    fn scratch_constructors_pick_the_documented_kernels() {
-        assert_eq!(RunScratch::new().kernel(), NoiseKernel::Vectorized);
-        assert_eq!(
-            RunScratch::with_noise_batch(64).kernel(),
-            NoiseKernel::Reference
-        );
-        assert_eq!(
-            RunScratch::with_kernel(64, NoiseKernel::Vectorized).kernel(),
-            NoiseKernel::Vectorized
-        );
-    }
-
-    #[test]
-    fn kernels_agree_on_mean_selection_size() {
-        // The two kernels sample the same distribution (values within
-        // 1e-12 relative), so the mean selection count must match
-        // closely across runs — the cheap end-to-end policy pin.
-        let scores: Vec<f64> = (0..2000).map(|i| (i % 97) as f64 * 3.0).collect();
-        let cfg = counting(0.7, 25);
-        let mean_of = |kernel: NoiseKernel| {
-            let mut rng = DpRng::seed_from_u64(2024);
-            let mut scratch = RunScratch::with_kernel(NoiseBuffer::DEFAULT_BATCH, kernel);
-            let runs = 150;
-            let mut total = 0usize;
-            for _ in 0..runs {
-                svt_select_into(&scores, 150.0, &cfg, &mut rng, &mut scratch).unwrap();
-                total += scratch.selected().len();
-            }
-            total as f64 / runs as f64
+    fn scratch_constructors_differ_only_in_noise_batch_size() {
+        // `new()` and `with_noise_batch(b)` build the same scratch up to
+        // the refill size, so every streaming path selects the same
+        // items from the same generator under any of them.
+        let scores = driver_golden_scores();
+        let groups = dp_data::GroupedSnapshot::from_scores(&scores).unwrap();
+        let cfg = counting(1.0, 5);
+        let retr = crate::retraversal::RetraversalConfig::paper(1.0, 5, 1.0);
+        let em = crate::em_select::EmTopC::new(1.0, 5, 2.0, true).unwrap();
+        let run_all = |scratch: &mut RunScratch, seed: u64| {
+            let mut rng = DpRng::seed_from_u64(seed);
+            let mut out = Vec::new();
+            svt_select_into(&scores, 430.0, &cfg, &mut rng, scratch).unwrap();
+            out.push((scratch.selected().to_vec(), scratch.examined()));
+            revisited_select_from(&scores[..], 430.0, &cfg, &mut rng, scratch).unwrap();
+            out.push((scratch.selected().to_vec(), scratch.examined()));
+            exp_noise_select_from(&groups, 430.0, &cfg, &mut rng, scratch).unwrap();
+            out.push((scratch.selected().to_vec(), scratch.examined()));
+            crate::retraversal::svt_retraversal_from(&scores[..], 430.0, &retr, &mut rng, scratch)
+                .unwrap();
+            out.push((scratch.selected().to_vec(), scratch.examined()));
+            em.select_into(&scores, &mut rng, scratch).unwrap();
+            out.push((scratch.selected().to_vec(), scratch.examined()));
+            em.select_grouped_into(&groups, &mut rng, scratch).unwrap();
+            out.push((scratch.selected().to_vec(), scratch.examined()));
+            out
         };
-        let reference = mean_of(NoiseKernel::Reference);
-        let vectorized = mean_of(NoiseKernel::Vectorized);
-        assert!(
-            (reference - vectorized).abs() < 1.5,
-            "reference {reference} vs vectorized {vectorized}"
-        );
+        for seed in [5u64, 41] {
+            let want = run_all(&mut RunScratch::new(), seed);
+            assert!(want.iter().all(|(sel, _)| !sel.is_empty()), "seed {seed}");
+            for batch in [1usize, 7, 4096] {
+                let got = run_all(&mut RunScratch::with_noise_batch(batch), seed);
+                assert_eq!(got, want, "batch {batch}, seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -1791,7 +1776,8 @@ mod tests {
     #[test]
     fn revisited_runs_match_recorded_selections() {
         // Same selection and examined count from a slice and from its
-        // grouped snapshot, under both kernels and 1 or 4 noise threads.
+        // grouped snapshot, at the default and a 1-value noise batch and
+        // with 1 or 4 noise threads.
         let scores = driver_golden_scores();
         let groups = dp_data::GroupedSnapshot::from_scores(&scores).unwrap();
         for &(eps, c, threshold, seed, examined, want) in RV_GOLDENS {

@@ -19,13 +19,8 @@
 //!   every examined item's score through the shared `GroupedScores`
 //!   runs instead of the raw slice (the SVT cells are where the two
 //!   engines genuinely differ: direct slice reads vs `O(log G)` group
-//!   resolution);
-//! * `em_grouped` — the grouped engine's EM cell. Since the
-//!   unification both engines route EM through the *same*
-//!   `select_grouped_into` sampler, so this cell measures only the
-//!   mirror engine's wrapper overhead vs `em_grouped_exact` — kept as
-//!   a noise-floor control and for baseline continuity, not as an
-//!   independent pipeline.
+//!   resolution; both engines run EM through the same
+//!   `select_grouped_into` sampler, so EM has no grouped-engine cell).
 //!
 //! Schema 4 also records `context_setup` — the per-dataset wall-clock
 //! of building the shared `SweepContext` (the sweep's *single* score
@@ -68,23 +63,20 @@
 //! prints a `[warm<cold]` marker CI greps for. Context lines still
 //! carry no `engine` field, so the ratio gate skips them.
 //!
-//! Schema 9 adds the kernel-policy dimension. Every batched/grouped
-//! cell above is now explicitly pinned to `NoiseKernel::Reference` (the
-//! libm path whose noise stream is bit-identical to the scalar
-//! references — exactly what those cells have always measured), and
-//! each group gains a `*_vectorized` sibling running the same pipeline
-//! under `NoiseKernel::Vectorized` (the batched polynomial-`ln` kernel,
-//! deterministic but not bit-pinned to libm): `exact_batched_vectorized`
-//! / `svt_grouped_indexed_vectorized`, `rv_*` and `exp_*` likewise, and
-//! `em_grouped_vectorized`. The SVT-RV batched paths also switch from
-//! the interactive per-draw wrapper to the forked-stream
-//! `revisited_select_from` driver, which buffers its noise and so
-//! actually batches — previously `rv_exact_batched` drew noise one
-//! value at a time through the caller's generator and lost to its own
-//! scalar reference. Two stdout gates ride along: every AOL-scale cell
-//! at or under 100 µs/run prints a `[sub100us] <engine>` marker CI
-//! greps for, and each `(dataset, algorithm)` group asserts its batched
-//! engine is no slower than its scalar reference.
+//! Schema 9 timed every batched/grouped cell twice, once per noise
+//! transform, and switched the SVT-RV batched paths to the
+//! forked-stream `revisited_select_from` driver. Two stdout gates ride
+//! along: every AOL-scale cell at or under 100 µs/run prints a
+//! `[sub100us] <engine>` marker CI greps for, and each
+//! `(dataset, algorithm)` group asserts its batched engine is no slower
+//! than its scalar reference.
+//!
+//! Schema 10 keeps one cell per path. Each sampler now has one fixed
+//! noise transform (vectorized Laplace and Exponential fills, libm
+//! Gumbel keys), so the batched and grouped cells run exactly what the
+//! engines ship, and the second timing of each is gone. The grouped
+//! engine's EM cell went too: it ran the same code as
+//! `em_grouped_exact`.
 //!
 //! The workload, seeds, and run counts are fixed, so the *work
 //! performed* is identical from machine to machine and run to run; only
@@ -107,7 +99,7 @@
 //! starts).
 
 use dp_data::{LiveScores, ScoreVector};
-use dp_mechanisms::{DpRng, NoiseBuffer, NoiseKernel};
+use dp_mechanisms::DpRng;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
@@ -132,6 +124,24 @@ const EPSILON: f64 = 0.1;
 /// catching every real pipeline regression (the wins this file records
 /// are ≥ 1.5×).
 const CHECK_TOLERANCE: f64 = 0.30;
+
+/// Every engine `bench_smoke` emits. A baseline line naming any other
+/// engine is an error, so a renamed or misspelled engine can never
+/// silently drop out of the ratio gate.
+const ENGINES: [&str; 12] = [
+    "exact_scalar",
+    "exact_batched",
+    "svt_grouped_indexed",
+    "rv_exact_scalar",
+    "rv_exact_batched",
+    "rv_grouped_indexed",
+    "exp_exact_scalar",
+    "exp_exact_batched",
+    "exp_grouped_indexed",
+    "em_peel",
+    "em_batched",
+    "em_grouped_exact",
+];
 
 /// Reference-engine preference per algorithm, most-preferred first: the
 /// slowest (scalar/peeling) path present in both runs anchors its
@@ -295,14 +305,17 @@ fn bench_size(
     let cell = |algorithm: &'static str,
                 engine: &'static str,
                 runs: usize,
-                (ns_per_run, mean_ser): (u128, f64)| CellTiming {
-        dataset: name.to_owned(),
-        n,
-        algorithm,
-        engine,
-        runs,
-        ns_per_run,
-        mean_ser,
+                (ns_per_run, mean_ser): (u128, f64)| {
+        assert!(ENGINES.contains(&engine), "{engine} missing from ENGINES");
+        CellTiming {
+            dataset: name.to_owned(),
+            n,
+            algorithm,
+            engine,
+            runs,
+            ns_per_run,
+            mean_ser,
+        }
     };
     // The scalar references pay O(n) (or O(c·n) for EM peeling) per
     // run; keep their run counts small so the smoke stays short.
@@ -316,14 +329,7 @@ fn bench_size(
     });
     out.push(cell(svt_label, "exact_scalar", scalar_runs, timing));
 
-    // Two scratches per engine, one per noise kernel: the Reference
-    // scratch keeps the historical cells on the libm path they have
-    // always measured (bit-identical to the scalar references), the
-    // Vectorized scratch runs the identical pipeline on the batched
-    // polynomial-ln kernel.
-    let mut scratch = RunScratch::with_kernel(NoiseBuffer::DEFAULT_BATCH, NoiseKernel::Reference);
-    let mut scratch_vec = RunScratch::new();
-    debug_assert_eq!(scratch_vec.kernel(), NoiseKernel::Vectorized);
+    let mut scratch = RunScratch::new();
     let timing = time_runs(seed, runs, |rng| {
         exact
             .run_once_into(&svt, EPSILON, rng, &mut scratch)
@@ -332,18 +338,8 @@ fn bench_size(
     });
     out.push(cell(svt_label, "exact_batched", runs, timing));
 
-    let timing = time_runs(seed, runs, |rng| {
-        exact
-            .run_once_into(&svt, EPSILON, rng, &mut scratch_vec)
-            .expect("vectorized batched run")
-            .ser
-    });
-    out.push(cell(svt_label, "exact_batched_vectorized", runs, timing));
-
     let grouped = GroupedContext::new(&sweep, CUTOFF);
-    let mut grouped_scratch =
-        RunScratch::with_kernel(NoiseBuffer::DEFAULT_BATCH, NoiseKernel::Reference);
-    let mut grouped_scratch_vec = RunScratch::new();
+    let mut grouped_scratch = RunScratch::new();
     let timing = time_runs(seed, runs, |rng| {
         grouped
             .run_once_into(&svt, EPSILON, rng, &mut grouped_scratch)
@@ -351,19 +347,6 @@ fn bench_size(
             .ser
     });
     out.push(cell(svt_label, "svt_grouped_indexed", runs, timing));
-
-    let timing = time_runs(seed, runs, |rng| {
-        grouped
-            .run_once_into(&svt, EPSILON, rng, &mut grouped_scratch_vec)
-            .expect("vectorized grouped run")
-            .ser
-    });
-    out.push(cell(
-        svt_label,
-        "svt_grouped_indexed_vectorized",
-        runs,
-        timing,
-    ));
 
     // The post-2017 reference-suite groups: SVT-Revisited and the
     // exponential-noise SVT, each through the scalar reference, the
@@ -375,13 +358,7 @@ fn bench_size(
                 ratio: BudgetRatio::OneToCTwoThirds,
             },
             "SVT-RV-1:c^(2/3)",
-            [
-                "rv_exact_scalar",
-                "rv_exact_batched",
-                "rv_grouped_indexed",
-                "rv_exact_batched_vectorized",
-                "rv_grouped_indexed_vectorized",
-            ],
+            ["rv_exact_scalar", "rv_exact_batched", "rv_grouped_indexed"],
         ),
         (
             AlgorithmSpec::ExpNoise {
@@ -392,14 +369,10 @@ fn bench_size(
                 "exp_exact_scalar",
                 "exp_exact_batched",
                 "exp_grouped_indexed",
-                "exp_exact_batched_vectorized",
-                "exp_grouped_indexed_vectorized",
             ],
         ),
     ];
-    for (spec, label, [scalar_engine, batched_engine, grouped_engine, batched_vec, grouped_vec]) in
-        post2017
-    {
+    for (spec, label, [scalar_engine, batched_engine, grouped_engine]) in post2017 {
         let timing = time_runs(seed, scalar_runs, |rng| {
             exact.run_once(&spec, EPSILON, rng).expect("scalar run").ser
         });
@@ -420,22 +393,6 @@ fn bench_size(
                 .ser
         });
         out.push(cell(label, grouped_engine, runs, timing));
-
-        let timing = time_runs(seed, runs, |rng| {
-            exact
-                .run_once_into(&spec, EPSILON, rng, &mut scratch_vec)
-                .expect("vectorized batched run")
-                .ser
-        });
-        out.push(cell(label, batched_vec, runs, timing));
-
-        let timing = time_runs(seed, runs, |rng| {
-            grouped
-                .run_once_into(&spec, EPSILON, rng, &mut grouped_scratch_vec)
-                .expect("vectorized grouped run")
-                .ser
-        });
-        out.push(cell(label, grouped_vec, runs, timing));
     }
 
     // The EM cell. Literal peeling is O(c·n) per run — at AOL scale
@@ -477,88 +434,31 @@ fn bench_size(
             .ser
     });
     out.push(cell("EM", "em_grouped_exact", runs, timing));
-
-    // Noise-floor control: identical sampler to `em_grouped_exact`,
-    // reached through the mirror engine's wrapper (see module docs).
-    let timing = time_runs(seed, runs, |rng| {
-        grouped
-            .run_once_into(&AlgorithmSpec::Em, EPSILON, rng, &mut grouped_scratch)
-            .expect("em grouped run")
-            .ser
-    });
-    out.push(cell("EM", "em_grouped", runs, timing));
-
-    // The grouped EM sampler under the vectorized Gumbel kernel (the
-    // per-key double-log path through the polynomial ln).
-    let timing = time_runs(seed, runs, |rng| {
-        grouped
-            .run_once_into(&AlgorithmSpec::Em, EPSILON, rng, &mut grouped_scratch_vec)
-            .expect("vectorized em grouped run")
-            .ser
-    });
-    out.push(cell("EM", "em_grouped_vectorized", runs, timing));
 }
 
 /// The satellite gate: within each `(dataset, algorithm)` group the
 /// batched pipeline must not lose to its own scalar reference — the
 /// exact regression `rv_exact_batched` shipped with before the
 /// forked-stream driver landed.
-///
-/// Two tiers, because the two batched siblings make different claims:
-///
-/// * the **vectorized** cell is the production default (both mirror
-///   engines run [`NoiseKernel::Vectorized`]) and must be strictly
-///   `≤` scalar;
-/// * the **reference** cell exists to keep the libm bit-compat path
-///   honest, and for whole-list algorithms (SVT-RV examines everything)
-///   it does the same libm `ln` per draw as the scalar loop — the
-///   honest margin is only the avoided per-run allocation, well inside
-///   single-core scheduler noise. It gets a 15% allowance so a
-///   same-speed tie can't flip the gate on a noisy box while a real
-///   regression (the old interactive wrapper was 1.8–1.9× scalar)
-///   still trips it.
 fn assert_batched_beats_scalar(cells: &[CellTiming]) {
-    // (strict vectorized cell, reference-kernel cell, scalar reference)
     let pairs = [
-        ("exact_batched_vectorized", "exact_batched", "exact_scalar"),
-        (
-            "rv_exact_batched_vectorized",
-            "rv_exact_batched",
-            "rv_exact_scalar",
-        ),
-        (
-            "exp_exact_batched_vectorized",
-            "exp_exact_batched",
-            "exp_exact_scalar",
-        ),
-        ("em_batched", "em_batched", "em_peel"),
+        ("exact_batched", "exact_scalar"),
+        ("rv_exact_batched", "rv_exact_scalar"),
+        ("exp_exact_batched", "exp_exact_scalar"),
+        ("em_batched", "em_peel"),
     ];
-    const REFERENCE_ALLOWANCE: f64 = 1.15;
-    for (vectorized, reference, scalar) in pairs {
+    for (batched, scalar) in pairs {
         for s in cells.iter().filter(|c| c.engine == scalar) {
-            let in_cell = |engine: &str| {
-                cells
-                    .iter()
-                    .find(|c| c.dataset == s.dataset && c.engine == engine)
-            };
-            if let Some(v) = in_cell(vectorized) {
+            let in_cell = cells
+                .iter()
+                .find(|c| c.dataset == s.dataset && c.engine == batched);
+            if let Some(b) = in_cell {
                 assert!(
-                    v.ns_per_run <= s.ns_per_run,
-                    "{}/{vectorized}: {} ns/run is slower than {scalar}'s {} ns/run",
+                    b.ns_per_run <= s.ns_per_run,
+                    "{}/{batched}: {} ns/run is slower than {scalar}'s {} ns/run",
                     s.dataset,
-                    v.ns_per_run,
+                    b.ns_per_run,
                     s.ns_per_run
-                );
-            }
-            if let Some(r) = in_cell(reference) {
-                let cap = (s.ns_per_run as f64 * REFERENCE_ALLOWANCE) as u128;
-                assert!(
-                    r.ns_per_run <= cap,
-                    "{}/{reference}: {} ns/run exceeds {scalar}'s {} ns/run by more than {:.0}%",
-                    s.dataset,
-                    r.ns_per_run,
-                    s.ns_per_run,
-                    (REFERENCE_ALLOWANCE - 1.0) * 100.0
                 );
             }
         }
@@ -574,7 +474,7 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": 9,");
+    let _ = writeln!(s, "  \"schema\": 10,");
     let _ = writeln!(s, "  \"bench\": \"svt_cell\",");
     let _ = writeln!(
         s,
@@ -649,13 +549,16 @@ fn json_int_field(line: &str, key: &str) -> Option<u128> {
 type BaselineCell = (String, String, &'static str, u128);
 
 /// Parses the per-cell lines of a committed `BENCH_svt.json` (schema 2
-/// through 9 — the per-cell `algorithm` field is required for ratio
+/// through 10 — the per-cell `algorithm` field is required for ratio
 /// grouping; cells are keyed by `(dataset, engine)`; schema 4's
 /// `context_setup` and schema 5/6's `serving` lines carry no engine and
 /// are skipped).
-fn parse_baseline(text: &str) -> Vec<BaselineCell> {
+///
+/// # Errors
+/// A cell line whose engine is not in [`ENGINES`], naming the line.
+fn parse_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
     let mut cells = Vec::new();
-    for line in text.lines() {
+    for (number, line) in text.lines().enumerate() {
         let (Some(dataset), Some(algorithm), Some(engine), Some(ns)) = (
             json_str_field(line, "dataset"),
             json_str_field(line, "algorithm"),
@@ -664,35 +567,18 @@ fn parse_baseline(text: &str) -> Vec<BaselineCell> {
         ) else {
             continue;
         };
-        // Intern the engine name against the known set so comparisons
+        // Intern the engine name against the emitted set so comparisons
         // are typo-proof.
-        let known = [
-            "exact_scalar",
-            "exact_batched",
-            "exact_batched_vectorized",
-            "svt_grouped_indexed",
-            "svt_grouped_indexed_vectorized",
-            "rv_exact_scalar",
-            "rv_exact_batched",
-            "rv_exact_batched_vectorized",
-            "rv_grouped_indexed",
-            "rv_grouped_indexed_vectorized",
-            "exp_exact_scalar",
-            "exp_exact_batched",
-            "exp_exact_batched_vectorized",
-            "exp_grouped_indexed",
-            "exp_grouped_indexed_vectorized",
-            "em_peel",
-            "em_batched",
-            "em_grouped_exact",
-            "em_grouped",
-            "em_grouped_vectorized",
-        ];
-        if let Some(&engine) = known.iter().find(|&&e| e == engine) {
-            cells.push((dataset, algorithm, engine, ns));
-        }
+        let Some(&engine) = ENGINES.iter().find(|&&e| e == engine) else {
+            return Err(format!(
+                "line {}: unknown engine \"{engine}\": {}",
+                number + 1,
+                line.trim()
+            ));
+        };
+        cells.push((dataset, algorithm, engine, ns));
     }
-    cells
+    Ok(cells)
 }
 
 /// Finds the `(dataset, algorithm)` group's reference timing in a cell
@@ -720,10 +606,12 @@ fn reference_ns<'c>(
 /// by more, since that means the committed baseline is stale and should
 /// be regenerated. Reference engines themselves are only checked for
 /// presence (their ratio is 1 by construction).
-fn check_against_baseline(cells: &[CellTiming], baseline_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline = parse_baseline(&text);
+fn check_against_baseline(
+    cells: &[CellTiming],
+    text: &str,
+    baseline_path: &str,
+) -> Result<(), String> {
+    let baseline = parse_baseline(text).map_err(|e| format!("baseline {baseline_path}: {e}"))?;
     if baseline.is_empty() {
         return Err(format!("baseline {baseline_path} contains no cells"));
     }
@@ -957,9 +845,106 @@ fn main() {
     println!("wrote {out_path}");
 
     if let Some(baseline) = check_path {
-        if let Err(message) = check_against_baseline(&cells, &baseline) {
+        let checked = std::fs::read_to_string(&baseline)
+            .map_err(|e| format!("cannot read baseline {baseline}: {e}"))
+            .and_then(|text| check_against_baseline(&cells, &text, &baseline));
+        if let Err(message) = checked {
             eprintln!("{message}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn line(dataset: &str, algorithm: &str, engine: &str, ns: u128) -> String {
+        format!(
+            "    {{\"dataset\": \"{dataset}\", \"n\": 100, \"algorithm\": \"{algorithm}\", \"engine\": \"{engine}\", \"runs\": 4, \"ns_per_run\": {ns}, \"mean_ser\": 0.5000}},"
+        )
+    }
+
+    fn timing(algorithm: &'static str, engine: &'static str, ns_per_run: u128) -> CellTiming {
+        CellTiming {
+            dataset: "d".to_owned(),
+            n: 100,
+            algorithm,
+            engine,
+            runs: 4,
+            ns_per_run,
+            mean_ser: 0.5,
+        }
+    }
+
+    #[test]
+    fn parse_baseline_rejects_an_unknown_engine() {
+        let text = format!(
+            "{{\n{}\n{}\n}}",
+            line("d", "SVT-S-1:c^(2/3)", "exact_scalar", 1000),
+            line("d", "SVT-S-1:c^(2/3)", "exact_batched_vectorized", 10),
+        );
+        let err = parse_baseline(&text).unwrap_err();
+        assert!(err.starts_with("line 3:"), "{err}");
+        assert!(err.contains("\"exact_batched_vectorized\""), "{err}");
+    }
+
+    #[test]
+    fn committed_baseline_covers_exactly_the_emitted_engines() {
+        let cells = parse_baseline(include_str!("../../../../BENCH_svt.json"))
+            .expect("committed baseline parses");
+        let recorded: BTreeSet<&str> = cells.iter().map(|&(_, _, e, _)| e).collect();
+        assert_eq!(recorded, ENGINES.into_iter().collect::<BTreeSet<_>>());
+        for (dataset, algorithm, _, _) in &cells {
+            let group = cells
+                .iter()
+                .filter(|(d, a, _, _)| d == dataset && a == algorithm)
+                .map(|&(_, _, e, ns)| (e, ns));
+            assert!(
+                reference_ns(group, algorithm).is_some(),
+                "{dataset}/{algorithm} has no reference engine"
+            );
+        }
+    }
+
+    /// A baseline whose `exact_batched` costs 1/100 of `exact_scalar`,
+    /// and a fresh run whose ratio grew by `growth`.
+    fn check_growth(growth: f64) -> Result<(), String> {
+        let algorithm = "SVT-S-1:c^(2/3)";
+        let text = format!(
+            "{}\n{}",
+            line("d", algorithm, "exact_scalar", 1_000_000),
+            line("d", algorithm, "exact_batched", 10_000),
+        );
+        let fresh = [
+            timing(algorithm, "exact_scalar", 2_000_000),
+            timing(algorithm, "exact_batched", (20_000.0 * growth) as u128),
+        ];
+        check_against_baseline(&fresh, &text, "test baseline")
+    }
+
+    #[test]
+    fn check_fails_a_ratio_growth_just_above_the_tolerance() {
+        let err = check_growth(1.0 + CHECK_TOLERANCE + 0.01).unwrap_err();
+        assert!(err.contains("d/exact_batched"), "{err}");
+    }
+
+    #[test]
+    fn check_passes_a_ratio_growth_just_below_the_tolerance() {
+        check_growth(1.0 + CHECK_TOLERANCE - 0.01).unwrap();
+    }
+
+    #[test]
+    fn check_fails_a_baseline_engine_missing_from_the_run() {
+        let algorithm = "SVT-S-1:c^(2/3)";
+        let text = format!(
+            "{}\n{}",
+            line("d", algorithm, "exact_scalar", 1_000_000),
+            line("d", algorithm, "svt_grouped_indexed", 10_000),
+        );
+        let fresh = [timing(algorithm, "exact_scalar", 1_000_000)];
+        let err = check_against_baseline(&fresh, &text, "test baseline").unwrap_err();
+        assert!(err.contains("d/svt_grouped_indexed: present in baseline but missing"));
     }
 }

@@ -389,8 +389,8 @@ pub fn allocation_ablation(
 }
 
 /// Extension: the ε sweep the paper omits for space ("we note that
-/// varying c [has] a similar impact of varying ε, since the accuracy of
-/// each method is mostly affect[ed] by ε/c").
+/// varying c \[has\] a similar impact of varying ε, since the accuracy of
+/// each method is mostly affect\[ed\] by ε/c").
 ///
 /// Fixes `c` and sweeps `ε`, comparing the interactive recommendation
 /// (SVT-S with the optimized allocation), the historical 1:1 SVT, and

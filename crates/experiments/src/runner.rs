@@ -345,7 +345,6 @@ fn hash_label(label: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_mechanisms::NoiseKernel;
     use svt_core::allocation::BudgetRatio;
 
     fn toy_dataset() -> PreparedDataset {
@@ -505,46 +504,6 @@ mod tests {
                     );
                     assert_eq!(e, g, "{alg:?} c={c} run={run}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn exact_and_grouped_index_streams_are_identical_under_reference_kernel() {
-        // The worker default (`RunScratch::new`) runs the vectorized
-        // kernel, so the mirror test above pins that path; this variant
-        // pins the same contract under the reference kernel, proving
-        // the Exact ≡ Grouped equality is kernel-independent — both
-        // engines consume whichever kernel the scratch carries.
-        let data = toy_dataset();
-        let cfg = toy_config();
-        let mut scratch_e = RunScratch::with_kernel(
-            dp_mechanisms::NoiseBuffer::DEFAULT_BATCH,
-            NoiseKernel::Reference,
-        );
-        let mut scratch_g = RunScratch::with_kernel(
-            dp_mechanisms::NoiseBuffer::DEFAULT_BATCH,
-            NoiseKernel::Reference,
-        );
-        for alg in &full_lineup() {
-            let c = cfg.c_values[0];
-            let exact = build_engine(&data, EngineKind::Exact, c);
-            let grouped = build_engine(&data, EngineKind::Grouped, c);
-            let seed = cell_seed(&cfg, alg, c);
-            for run in 0..cfg.runs {
-                let mut rng_e = run_rng(seed, run);
-                let mut rng_g = run_rng(seed, run);
-                exact
-                    .run_once(alg, cfg.epsilon, &mut rng_e, &mut scratch_e)
-                    .unwrap();
-                grouped
-                    .run_once(alg, cfg.epsilon, &mut rng_g, &mut scratch_g)
-                    .unwrap();
-                assert_eq!(
-                    scratch_e.selected(),
-                    scratch_g.selected(),
-                    "{alg:?} c={c} run={run}: reference-kernel streams diverged"
-                );
             }
         }
     }

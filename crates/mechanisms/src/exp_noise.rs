@@ -178,7 +178,8 @@ impl Exponential {
         }
     }
 
-    /// The vectorized fill: same uniforms as
+    /// The vectorized fill every [`NoiseBuffer`](crate::NoiseBuffer)
+    /// refill uses: same uniforms as
     /// [`sample_into`](Self::sample_into) through the batched
     /// polynomial log. For 53-bit grid uniforms `1 − u` is exactly
     /// representable (no `ln_1p` needed on this path), strictly
@@ -360,11 +361,15 @@ mod tests {
 
     #[test]
     fn noise_buffer_stream_is_independent_of_batch_size() {
+        // Every refill is a vectorized fill: the handed-out stream must
+        // equal one vectorized fill of the same length.
         let e = exp(2.0);
         let draws = 700;
         let reference: Vec<u64> = {
             let mut rng = DpRng::seed_from_u64(991);
-            (0..draws).map(|_| e.sample(&mut rng).to_bits()).collect()
+            let mut all = vec![0.0; draws];
+            e.sample_into_vectorized(&mut rng, &mut all);
+            all.iter().map(|x| x.to_bits()).collect()
         };
         for batch in [1usize, 2, 17, 256, 1024] {
             let mut rng = DpRng::seed_from_u64(991);
@@ -378,11 +383,15 @@ mod tests {
 
     #[test]
     fn noise_buffer_prefetch_preserves_the_stream() {
+        // Every refill is a vectorized fill: the handed-out stream must
+        // equal one vectorized fill of the same length.
         let e = exp(2.0);
         let draws = 500;
         let reference: Vec<u64> = {
             let mut rng = DpRng::seed_from_u64(991);
-            (0..draws).map(|_| e.sample(&mut rng).to_bits()).collect()
+            let mut all = vec![0.0; draws];
+            e.sample_into_vectorized(&mut rng, &mut all);
+            all.iter().map(|x| x.to_bits()).collect()
         };
         let mut rng = DpRng::seed_from_u64(991);
         let mut buf = NoiseBuffer::with_batch(16);

@@ -40,8 +40,9 @@
 //! is bit-identical on every platform, at every optimization level, and
 //! under any vector width the compiler picks: vectorization reorders
 //! *lanes*, never the operations within one. That is what lets the
-//! [`NoiseKernel::Vectorized`](crate::NoiseKernel) policy promise
-//! cross-platform, cross-thread-count reproducibility.
+//! vectorized Laplace and Exponential fills behind every
+//! [`NoiseBuffer`](crate::NoiseBuffer) refill promise cross-platform,
+//! cross-thread-count reproducibility.
 //!
 //! Each output element depends only on its own input element (the
 //! 8-wide chunking below is purely a dispatch granularity: both the

@@ -102,33 +102,15 @@ impl Gumbel {
     /// block-wise [`DpRng::fill_open_uniform`], which consumes the
     /// identical word sequence — mirroring
     /// [`Laplace::sample_into`](crate::Laplace::sample_into). This is
-    /// what the scratch-buffered EM top-`c` path draws its keys from.
+    /// what the scratch-buffered EM top-`c` path draws its keys from,
+    /// and what [`NoiseBuffer`](crate::NoiseBuffer) refills with: the
+    /// libm double log measured faster than two polynomial logs, so
+    /// `Gumbel` keeps the default
+    /// [`BatchSample::sample_into_vectorized`].
     pub fn sample_into(&self, rng: &mut DpRng, out: &mut [f64]) {
         rng.fill_open_uniform(out);
         for x in out.iter_mut() {
             *x = self.transform(*x);
-        }
-    }
-
-    /// The vectorized fill: same uniforms as
-    /// [`sample_into`](Self::sample_into), with both logarithms of the
-    /// double-log transform routed through the batched
-    /// [`fastmath::ln_in_place`]. Each value stays within a small
-    /// multiple of the `1e-12` relative bound of the reference value
-    /// (two polynomial logs compose).
-    ///
-    /// The inner argument `−ln u` is always a positive normal for grid
-    /// uniforms (`u ≤ 1 − 2⁻⁵³` gives `−ln u ≥ 1.1e-16`), so no special
-    /// cases arise between the two passes.
-    pub fn sample_into_vectorized(&self, rng: &mut DpRng, out: &mut [f64]) {
-        rng.fill_open_uniform(out);
-        fastmath::ln_in_place(out);
-        for x in out.iter_mut() {
-            *x = -*x;
-        }
-        fastmath::ln_in_place(out);
-        for x in out.iter_mut() {
-            *x = self.mu - self.beta * *x;
         }
     }
 
@@ -224,7 +206,8 @@ impl GumbelMax {
 
     /// Emits the next (largest remaining) order statistic, or `None`
     /// once all `m` keys have been peeled. Each call consumes exactly
-    /// one uniform from `rng`.
+    /// one uniform from `rng`. Uses the libm transform — the one grouped
+    /// EM runs.
     #[inline]
     pub fn next_key(&mut self, rng: &mut DpRng) -> Option<f64> {
         self.next_key_with(rng, NoiseKernel::Reference)
@@ -232,9 +215,9 @@ impl GumbelMax {
 
     /// [`next_key`](Self::next_key) with an explicit transform kernel:
     /// under [`NoiseKernel::Vectorized`] both logarithms go through the
-    /// polynomial [`fastmath::ln`], so grouped-EM key peeling agrees
-    /// bit-for-bit with any other consumer running the same kernel.
-    /// Either kernel consumes exactly one uniform per call.
+    /// polynomial [`fastmath::ln`]. A measurement and test-oracle
+    /// surface only (grouped EM always peels with `next_key`). Either
+    /// kernel consumes exactly one uniform per call.
     ///
     /// The internal `ln_u` accumulator is kernel-specific state: peel a
     /// given `GumbelMax` under one kernel, not a mix.
@@ -269,11 +252,6 @@ impl BatchSample for Gumbel {
     #[inline]
     fn sample_into(&self, rng: &mut DpRng, out: &mut [f64]) {
         Gumbel::sample_into(self, rng, out);
-    }
-
-    #[inline]
-    fn sample_into_vectorized(&self, rng: &mut DpRng, out: &mut [f64]) {
-        Gumbel::sample_into_vectorized(self, rng, out);
     }
 }
 
@@ -388,8 +366,9 @@ mod tests {
 
     #[test]
     fn noise_buffer_serves_gumbel_batch_size_invariantly() {
-        // The generic NoiseBuffer path must uphold the same contract for
-        // Gumbel that it does for Laplace.
+        // Gumbel keeps the default buffered fill (the scalar-identical
+        // `sample_into`), so the buffer hands out exactly the scalar
+        // draws for every batch size.
         let g = Gumbel::standard();
         let draws = 700;
         let reference: Vec<u64> = {
@@ -403,27 +382,6 @@ mod tests {
                 .map(|_| buf.next(&g, &mut rng).to_bits())
                 .collect();
             assert_eq!(got, reference, "batch {batch}");
-        }
-    }
-
-    #[test]
-    fn vectorized_fill_consumes_same_words_and_stays_close() {
-        let g = Gumbel::new(1.2, 0.7).unwrap();
-        for len in [1usize, 8, 64, 1000] {
-            let mut ref_rng = DpRng::seed_from_u64(1877);
-            let mut vec_rng = DpRng::seed_from_u64(1877);
-            let mut reference = vec![0.0; len];
-            let mut fast = vec![0.0; len];
-            g.sample_into(&mut ref_rng, &mut reference);
-            g.sample_into_vectorized(&mut vec_rng, &mut fast);
-            assert_eq!(ref_rng.next_u64(), vec_rng.next_u64(), "len {len}");
-            for (i, (r, f)) in reference.iter().zip(&fast).enumerate() {
-                // Two composed polynomial logs: allow a few ulps of
-                // headroom over the single-log 1e-12 bound, in absolute
-                // terms near the transform's zero crossing.
-                let tol = 1e-11 * r.abs().max(1.0);
-                assert!((f - r).abs() <= tol, "len {len} i {i}: {r} vs {f}");
-            }
         }
     }
 

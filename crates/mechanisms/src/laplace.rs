@@ -16,7 +16,7 @@
 use crate::error::MechanismError;
 use crate::fastmath;
 use crate::rng::{counter_seed, DpRng};
-use crate::sample::{BatchSample, NoiseKernel};
+use crate::sample::BatchSample;
 use crate::Result;
 
 /// A zero-centred Laplace distribution with scale `b > 0`.
@@ -167,8 +167,9 @@ impl Laplace {
         }
     }
 
-    /// The [`NoiseKernel::Vectorized`] fill: identical uniforms (same
-    /// words consumed as [`sample_into`](Self::sample_into)), with the
+    /// The vectorized fill every [`NoiseBuffer`] refill uses: identical
+    /// uniforms (same words consumed as
+    /// [`sample_into`](Self::sample_into)), with the
     /// inverse CDF rewritten branch-free over the [`fastmath`] log so
     /// the whole transform auto-vectorizes:
     ///
@@ -228,27 +229,20 @@ impl BatchSample for Laplace {
 /// [`BatchSample`] distribution.
 ///
 /// The simulation engines draw one noise value per examined item; doing
-/// that a block at a time through `sample_into` (e.g.
-/// [`Laplace::sample_into`] or [`Gumbel::sample_into`](crate::Gumbel::sample_into))
-/// keeps the RNG on its bulk path. Because `sample_into` is
-/// stream-equivalent to scalar sampling (the [`BatchSample`] contract),
-/// the sequence of values handed out by [`next`](NoiseBuffer::next) is
-/// independent of the batch size — only how far ahead of the consumer
-/// the generator has run differs, so a dedicated (forked) noise
-/// generator sees no observable difference.
+/// that a block at a time keeps the RNG on its bulk path. Every refill
+/// (plain, chunked and [`prefetch`](Self::prefetch)) calls
+/// [`BatchSample::sample_into_vectorized`]: the polynomial-`ln` fill
+/// for [`Laplace`] and [`Exponential`](crate::Exponential), the
+/// scalar-identical [`BatchSample::sample_into`] for any distribution
+/// that does not override it. Each value is a function of its own
+/// uniform only, and the fill consumes the words of the equivalent
+/// scalar draws, so the sequence of values handed out by
+/// [`next`](NoiseBuffer::next) is independent of the batch size — only
+/// how far ahead of the consumer the generator has run differs, so a
+/// dedicated (forked) noise generator sees no observable difference.
 ///
 /// The buffer caches raw samples of *one* distribution drawn from *one*
 /// generator; call [`reset`](NoiseBuffer::reset) before switching either.
-///
-/// ## Kernel policy
-///
-/// Every refill is dispatched through the buffer's [`NoiseKernel`],
-/// fixed at construction (default [`NoiseKernel::Reference`],
-/// preserving the historical bit-identical-to-scalar contract;
-/// [`with_kernel`](Self::with_kernel) picks another). Choosing
-/// [`NoiseKernel::Vectorized`] changes only the transform applied to
-/// the batched uniforms — the generator consumes the identical word
-/// sequence either way.
 ///
 /// ## Chunked mode (intra-run parallelism)
 ///
@@ -268,7 +262,6 @@ pub struct NoiseBuffer {
     buf: Vec<f64>,
     cursor: usize,
     batch: usize,
-    kernel: NoiseKernel,
     /// `Some(threads)` while chunked mode is on.
     chunked: Option<usize>,
     /// Root of the counter-derived chunk family; drawn lazily at the
@@ -297,27 +290,14 @@ impl NoiseBuffer {
     /// Creates an empty buffer that refills `batch` samples at a time
     /// (clamped to at least 1).
     pub fn with_batch(batch: usize) -> Self {
-        Self::with_kernel(batch, NoiseKernel::Reference)
-    }
-
-    /// Creates an empty buffer with an explicit refill batch size and
-    /// transform kernel.
-    pub fn with_kernel(batch: usize, kernel: NoiseKernel) -> Self {
         Self {
             buf: Vec::new(),
             cursor: 0,
             batch: batch.max(1),
-            kernel,
             chunked: None,
             base_seed: None,
             next_chunk: 0,
         }
-    }
-
-    /// The transform kernel refills use.
-    #[inline]
-    pub fn kernel(&self) -> NoiseKernel {
-        self.kernel
     }
 
     /// Discards any prefetched noise and leaves chunked mode; the next
@@ -364,7 +344,7 @@ impl NoiseBuffer {
         match self.chunked {
             None => {
                 self.buf.resize(self.batch, 0.0);
-                dist.sample_into_kernel(rng, &mut self.buf, self.kernel);
+                dist.sample_into_vectorized(rng, &mut self.buf);
                 self.cursor = 0;
             }
             Some(threads) => self.refill_chunked(dist, rng, threads),
@@ -374,23 +354,22 @@ impl NoiseBuffer {
     /// One chunked refill: generates `threads` whole chunks — chunk
     /// indices `next_chunk .. next_chunk + threads` — in parallel when
     /// `threads > 1`. Chunk `k`'s samples depend only on
-    /// `(base_seed, k, kernel)`, so the stream is identical for every
-    /// thread count.
+    /// `(base_seed, k)`, so the stream is identical for every thread
+    /// count.
     fn refill_chunked<D: BatchSample + Sync>(&mut self, dist: &D, rng: &mut DpRng, threads: usize) {
         let base = *self.base_seed.get_or_insert_with(|| rng.next_u64());
         let first = self.next_chunk;
-        let kernel = self.kernel;
         self.buf.resize(threads * Self::CHUNK_LEN, 0.0);
         if threads == 1 {
             let mut chunk_rng = DpRng::seed_from_u64(counter_seed(base, first));
-            dist.sample_into_kernel(&mut chunk_rng, &mut self.buf, kernel);
+            dist.sample_into_vectorized(&mut chunk_rng, &mut self.buf);
         } else {
             std::thread::scope(|scope| {
                 for (k, part) in self.buf.chunks_mut(Self::CHUNK_LEN).enumerate() {
                     let seed = counter_seed(base, first + k as u64);
                     scope.spawn(move || {
                         let mut chunk_rng = DpRng::seed_from_u64(seed);
-                        dist.sample_into_kernel(&mut chunk_rng, part, kernel);
+                        dist.sample_into_vectorized(&mut chunk_rng, part);
                     });
                 }
             });
@@ -423,8 +402,9 @@ impl NoiseBuffer {
     ///
     /// This is how a batch of `n` queries against one session costs one
     /// generator fill instead of up to `n`: prefetch `n`, then call
-    /// [`next`](Self::next) per query. Because batched fills are
-    /// stream-equivalent to scalar draws (the [`BatchSample`] contract),
+    /// [`next`](Self::next) per query. Because each value depends only
+    /// on its own uniform and a fill consumes the words of the
+    /// equivalent scalar draws (the [`BatchSample`] contract),
     /// prefetching changes only how far ahead of the consumer the
     /// generator runs — never the values handed out — so prefetching
     /// more than is ultimately consumed (e.g. a session halts mid-batch)
@@ -450,7 +430,7 @@ impl NoiseBuffer {
         self.cursor = 0;
         let old_len = self.buf.len();
         self.buf.resize(old_len + deficit, 0.0);
-        dist.sample_into_kernel(rng, &mut self.buf[old_len..], self.kernel);
+        dist.sample_into_vectorized(rng, &mut self.buf[old_len..]);
     }
 
     /// How many prefetched samples are currently buffered and unconsumed.
@@ -487,6 +467,7 @@ pub fn laplace_mechanism(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::NoiseKernel;
 
     fn lap(b: f64) -> Laplace {
         Laplace::new(b).unwrap()
@@ -620,11 +601,15 @@ mod tests {
 
     #[test]
     fn noise_buffer_stream_is_independent_of_batch_size() {
+        // Every refill is a vectorized fill, so the handed-out stream
+        // must equal one vectorized fill of the same length.
         let l = lap(2.0);
         let draws = 700;
         let reference: Vec<u64> = {
             let mut rng = DpRng::seed_from_u64(991);
-            (0..draws).map(|_| l.sample(&mut rng).to_bits()).collect()
+            let mut all = vec![0.0; draws];
+            l.sample_into_vectorized(&mut rng, &mut all);
+            all.iter().map(|x| x.to_bits()).collect()
         };
         for batch in [1usize, 2, 17, 256, 1024] {
             let mut rng = DpRng::seed_from_u64(991);
@@ -642,7 +627,9 @@ mod tests {
         let draws = 500;
         let reference: Vec<u64> = {
             let mut rng = DpRng::seed_from_u64(991);
-            (0..draws).map(|_| l.sample(&mut rng).to_bits()).collect()
+            let mut all = vec![0.0; draws];
+            l.sample_into_vectorized(&mut rng, &mut all);
+            all.iter().map(|x| x.to_bits()).collect()
         };
         // Interleave prefetches of varying sizes (including ones smaller
         // than what is already buffered) with consumption; the handed-out
@@ -747,11 +734,32 @@ mod tests {
     }
 
     #[test]
+    fn chunked_stream_is_counter_seeded_vectorized_fills() {
+        // Chunk k is one vectorized fill from a generator seeded with
+        // counter_seed(base, k), base being the caller's next word.
+        let l = lap(1.5);
+        let mut rng = DpRng::seed_from_u64(4_099);
+        let base = rng.clone().next_u64();
+        let mut buf = NoiseBuffer::new();
+        buf.enable_chunked(3);
+        let mut got = vec![0.0; 3 * NoiseBuffer::CHUNK_LEN + 5];
+        buf.take_into(&l, &mut rng, &mut got);
+        for (k, chunk) in got.chunks(NoiseBuffer::CHUNK_LEN).enumerate() {
+            let mut want = vec![0.0; NoiseBuffer::CHUNK_LEN];
+            let mut chunk_rng = DpRng::seed_from_u64(counter_seed(base, k as u64));
+            l.sample_into_vectorized(&mut chunk_rng, &mut want);
+            let want_bits: Vec<u64> = want[..chunk.len()].iter().map(|x| x.to_bits()).collect();
+            let got_bits: Vec<u64> = chunk.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got_bits, want_bits, "chunk {k}");
+        }
+    }
+
+    #[test]
     fn chunked_stream_depends_only_on_the_base_seed_draw() {
         // Two buffers fed by generators in the same state produce the
-        // same chunked stream regardless of kernel-independent details
-        // like how much was consumed before comparing, and the caller's
-        // generator is advanced by exactly one word (the base seed).
+        // same chunked stream whatever their prefill thread count, and
+        // the caller's generator is advanced by exactly one word (the
+        // base seed).
         let l = lap(0.7);
         let mut rng_a = DpRng::seed_from_u64(9);
         let mut rng_b = DpRng::seed_from_u64(9);

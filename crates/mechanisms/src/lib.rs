@@ -42,15 +42,15 @@
 //!   block-wise batched fills (`fill_u64s`/`fill_uniform`/
 //!   `fill_open_uniform`) that are bit-identical to the scalar draws.
 //! - [`NoiseBuffer`] — reusable prefetched-noise scratch feeding the
-//!   simulation engines from any [`BatchSample`] distribution
-//!   ([`Laplace::sample_into`], [`Gumbel::sample_into`]), with an
+//!   simulation engines from any [`BatchSample`] distribution through
+//!   its [`BatchSample::sample_into_vectorized`] fill, with an
 //!   optional counter-derived chunked mode whose noise stream is
 //!   bit-identical across prefill thread counts.
-//! - [`fastmath`] + [`NoiseKernel`] — the vectorized noise-kernel
-//!   layer: a batched polynomial `ln` (relative error ≤ 1e-12,
-//!   platform- and thread-count-deterministic) and the two-kernel
-//!   policy (`Reference` = libm, bit-identical to scalar;
-//!   `Vectorized` = fast path, same uniforms and distribution).
+//! - [`fastmath`] — a batched polynomial `ln` (relative error ≤ 1e-12,
+//!   platform- and thread-count-deterministic) behind the vectorized
+//!   Laplace and Exponential fills. Each sampler has one fixed
+//!   transform ([`sample`] module docs); [`NoiseKernel`] names both
+//!   transforms for benchmarks and test oracles only.
 //! - [`samplers`] — discrete samplers (binomial, hypergeometric,
 //!   categorical-in-log-space) used by the grouped traversal simulator.
 //! - [`TwoSidedGeometric`] — the discrete companion of the Laplace

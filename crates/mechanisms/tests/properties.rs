@@ -79,15 +79,16 @@ proptest! {
         batch in 1usize..64,
         draws in 1usize..200,
     ) {
+        // Refills are vectorized fills; however they are split, the
+        // handed-out stream is one vectorized fill of the same length.
         let l = Laplace::new(1.5).unwrap();
-        let mut scalar_rng = DpRng::seed_from_u64(seed);
+        let mut fill_rng = DpRng::seed_from_u64(seed);
         let mut buffered_rng = DpRng::seed_from_u64(seed);
+        let mut want = vec![0.0; draws];
+        l.sample_into_vectorized(&mut fill_rng, &mut want);
         let mut buf = dp_mechanisms::NoiseBuffer::with_batch(batch);
-        for _ in 0..draws {
-            prop_assert_eq!(
-                buf.next(&l, &mut buffered_rng).to_bits(),
-                l.sample(&mut scalar_rng).to_bits()
-            );
+        for (i, w) in want.iter().enumerate() {
+            prop_assert_eq!(buf.next(&l, &mut buffered_rng).to_bits(), w.to_bits(), "draw {}", i);
         }
     }
 
@@ -167,14 +168,13 @@ proptest! {
         draws in 1usize..200,
     ) {
         let e = Exponential::new(1.5).unwrap();
-        let mut scalar_rng = DpRng::seed_from_u64(seed);
+        let mut fill_rng = DpRng::seed_from_u64(seed);
         let mut buffered_rng = DpRng::seed_from_u64(seed);
+        let mut want = vec![0.0; draws];
+        e.sample_into_vectorized(&mut fill_rng, &mut want);
         let mut buf = dp_mechanisms::NoiseBuffer::with_batch(batch);
-        for _ in 0..draws {
-            prop_assert_eq!(
-                buf.next(&e, &mut buffered_rng).to_bits(),
-                e.sample(&mut scalar_rng).to_bits()
-            );
+        for (i, w) in want.iter().enumerate() {
+            prop_assert_eq!(buf.next(&e, &mut buffered_rng).to_bits(), w.to_bits(), "draw {}", i);
         }
     }
 
@@ -220,9 +220,9 @@ proptest! {
         batch in 1usize..64,
         draws in 1usize..200,
     ) {
-        // The generic NoiseBuffer upholds the BatchSample contract for
-        // Gumbel exactly as it does for Laplace: the handed-out stream
-        // is a pure function of the generator, whatever the batch size.
+        // Gumbel keeps the default buffered fill (the scalar-identical
+        // `sample_into`), so a NoiseBuffer hands out exactly the scalar
+        // draws, whatever the batch size.
         let g = Gumbel::standard();
         let mut scalar_rng = DpRng::seed_from_u64(seed);
         let mut buffered_rng = DpRng::seed_from_u64(seed);
@@ -551,6 +551,9 @@ proptest! {
         seed in any::<u64>(),
         len in 1usize..300,
     ) {
+        // Gumbel has no polynomial transform (libm measured faster for
+        // its double log): the Vectorized dispatch falls back to the
+        // reference fill, so "close" is bit-exact here.
         let g = Gumbel::new(mu, beta).unwrap();
         let mut ref_rng = DpRng::seed_from_u64(seed);
         let mut vec_rng = DpRng::seed_from_u64(seed);
@@ -560,9 +563,7 @@ proptest! {
         g.sample_into_kernel(&mut vec_rng, &mut vectorized, NoiseKernel::Vectorized);
         prop_assert_eq!(ref_rng.next_u64(), vec_rng.next_u64(), "word streams diverged");
         for (i, (&r, &v)) in reference.iter().zip(&vectorized).enumerate() {
-            // Two composed logs: one extra rounding layer vs Laplace.
-            let tol = 1e-10 * (r.abs() + beta + mu.abs());
-            prop_assert!((r - v).abs() <= tol, "index {}: {} vs {}", i, r, v);
+            prop_assert_eq!(r.to_bits(), v.to_bits(), "index {}", i);
         }
     }
 
