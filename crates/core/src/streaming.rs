@@ -545,9 +545,14 @@ impl SparseOrder {
 
 /// Reusable per-run buffers for the streaming evaluation paths.
 ///
-/// Construct once per worker thread, pass to every run; nothing in here
-/// is ever allocated proportional to the dataset size, and after the
-/// first few runs the steady state allocates nothing at all. One
+/// Construct once per worker thread, pass to every run; after the
+/// first few runs the steady state allocates nothing at all. The
+/// buffers grow with what a run touches, not with the dataset alone: a
+/// lazy order holds its examined prefix and a displacement map of at
+/// most ⅛ of the positions, but a run that densifies also keeps the
+/// dense tail (up to ⅞·n `u32`s), and an eager order
+/// ([`SparseOrder::reset_eager`], SVT-Revisited) holds all n positions
+/// as `u32`s. One
 /// scratch serves every streaming path — [`svt_select_into`],
 /// [`select_streaming`],
 /// [`svt_retraversal_into`](crate::retraversal::svt_retraversal_into),
@@ -1173,29 +1178,53 @@ mod tests {
             seed in any::<u64>(),
             n in 1usize..300,
             first_block in 1usize..40,
+            lead_frac in 0.0f64..1.0,
         ) {
             // Blocked stepping (the drivers' lookahead fill) must emit
             // the same values from the same draws as one-at-a-time
             // stepping, across sparse, boundary, and dense blocks.
-            let mut block_rng = DpRng::seed_from_u64(seed);
-            let mut blocked = SparseOrder::new();
-            blocked.reset(n);
-            let mut got = vec![0u32; n];
-            let mut done = 0;
-            let mut w = first_block;
-            while done < n {
-                let take = w.min(n - done);
-                blocked.step_block(&mut block_rng, &mut got[done..done + take]);
-                done += take;
-                w = (w * 2) % 37 + 1;
-            }
+            let stepped_run = |lead: usize, window: &mut dyn FnMut() -> usize| {
+                let mut rng = DpRng::seed_from_u64(seed);
+                let mut order = SparseOrder::new();
+                order.reset(n);
+                let mut got = vec![0u32; n];
+                for slot in got.iter_mut().take(lead) {
+                    *slot = order.step(&mut rng);
+                }
+                let mut done = lead.min(n);
+                while done < n {
+                    let take = window().min(n - done);
+                    order.step_block(&mut rng, &mut got[done..done + take]);
+                    done += take;
+                }
+                assert_eq!(order.prefix(), &got[..]);
+                (got, rng.next_u64())
+            };
             let mut step_rng = DpRng::seed_from_u64(seed);
             let mut stepped = SparseOrder::new();
             stepped.reset(n);
             let want: Vec<u32> = (0..n).map(|_| stepped.step(&mut step_rng)).collect();
-            prop_assert_eq!(&got[..], &want[..]);
-            prop_assert_eq!(blocked.prefix(), &want[..]);
-            prop_assert_eq!(block_rng.next_u64(), step_rng.next_u64());
+            let want = (want, step_rng.next_u64());
+            // Varying window lengths.
+            let mut w = first_block;
+            let varying = stepped_run(0, &mut || {
+                let take = w;
+                w = (w * 2) % 37 + 1;
+                take
+            });
+            prop_assert_eq!(&varying, &want);
+            // Every lookahead window length: from position 0, from a
+            // random lead, and with a window straddling the n/8
+            // densify trigger. The last window of each run ends on
+            // the final, draw-free position.
+            let trigger = n.div_ceil(8) - 1;
+            let lead = (n as f64 * lead_frac) as usize;
+            for w in 1..=LOOKAHEAD {
+                for lead in [0, lead, trigger.saturating_sub(w / 2)] {
+                    let fixed = stepped_run(lead, &mut || w);
+                    prop_assert_eq!(&fixed, &want, "window {} lead {}", w, lead);
+                }
+            }
         }
 
         #[test]
@@ -1251,6 +1280,35 @@ mod tests {
             full_rng.shuffle_forward(&mut full);
             prop_assert_eq!(&emitted[..], &full[..]);
             prop_assert_eq!(lazy_rng.next_u64(), full_rng.next_u64());
+        }
+
+        #[test]
+        fn long_step_blocks_match_scalar_fisher_yates(
+            seed in any::<u64>(),
+            n in 400usize..2500,
+            block in 1usize..200,
+        ) {
+            // Blocks longer than the lookahead window, over an order
+            // whose displacement map outgrows its first table: sparse,
+            // trigger-crossing and dense blocks must all replay the
+            // one-index-at-a-time `shuffle_step` stream.
+            let mut rng = DpRng::seed_from_u64(seed);
+            let mut order = SparseOrder::new();
+            order.reset(n);
+            let mut got = vec![0u32; n];
+            let mut done = 0;
+            while done < n {
+                let take = block.min(n - done);
+                order.step_block(&mut rng, &mut got[done..done + take]);
+                done += take;
+            }
+            let mut ref_rng = DpRng::seed_from_u64(seed);
+            let mut want: Vec<u32> = (0..n as u32).collect();
+            for i in 0..n {
+                ref_rng.shuffle_step(&mut want, i);
+            }
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(rng.next_u64(), ref_rng.next_u64());
         }
 
         #[test]

@@ -15,16 +15,20 @@
 //! here through [`DpRng::from_entropy`].
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{lemire_accept, Rng, RngCore, SeedableRng};
 
 /// The 53-bit uniform grid step: draws are `(w >> 11) · 2⁻⁵³`, matching
 /// the scalar `f64` path of the `rand` shim bit for bit.
 const UNIT_53: f64 = 1.0 / (1u64 << 53) as f64;
 
 /// Stack-chunk size for the batched fills. One chunk is eight ChaCha
-/// blocks; bigger buys nothing because the fills already amortize the
-/// per-block bounds check.
+/// blocks (two four-block groups); bigger buys nothing because the
+/// fills already amortize the per-group bounds check.
 const FILL_CHUNK: usize = 128;
+
+/// Fisher–Yates steps per [`DpRng::fill_shuffle_indices`] call in
+/// [`DpRng::shuffle_forward`].
+const SHUFFLE_BLOCK: usize = 64;
 
 /// Derives the seed for the `index`-th member of a counter-based
 /// family rooted at `base`: a SplitMix64 step (golden-ratio increment,
@@ -118,7 +122,7 @@ impl DpRng {
 
     /// Fills `out` with raw 64-bit draws — the same sequence repeated
     /// [`next_u64`](Self::next_u64) calls would produce, generated
-    /// block-wise (one bounds check per 16-word ChaCha block).
+    /// four ChaCha blocks at a time (one bounds check per 64 words).
     #[inline]
     pub fn fill_u64s(&mut self, out: &mut [u64]) {
         self.inner.fill_u64s(out);
@@ -175,6 +179,53 @@ impl DpRng {
         }
     }
 
+    /// The swap targets of forward Fisher–Yates steps
+    /// `i0 .. i0 + out.len()` over `n` elements: `out[k]` is the `j`
+    /// that [`shuffle_step`](Self::shuffle_step) at index `i0 + k`
+    /// would swap with, uniform in `i0 + k .. n` (and `n − 1` itself
+    /// for the final index, which draws nothing).
+    ///
+    /// Same words, same values, same order as calling
+    /// [`shuffle_step`](Self::shuffle_step) for each index, but drawn
+    /// in bulk: each refill fetches one word per step still unfilled
+    /// through [`fill_u64s`](Self::fill_u64s) and turns it into an
+    /// index with the shared Lemire step ([`rand::lemire_accept`]). A
+    /// rejected word is consumed and the same step takes the next word,
+    /// as the scalar rejection loop does, and no refill fetches more
+    /// words than steps remain — so the generator never runs ahead of
+    /// the scalar path and ends in the same state (the
+    /// [`fill_open_uniform`](Self::fill_open_uniform) refill rule).
+    ///
+    /// # Panics
+    /// If `i0 + out.len() > n`.
+    pub fn fill_shuffle_indices(&mut self, i0: usize, n: usize, out: &mut [usize]) {
+        assert!(
+            i0 + out.len() <= n,
+            "fill_shuffle_indices: steps {i0}..{} past length {n}",
+            i0 + out.len()
+        );
+        // Every step below the final index draws; the final one is the
+        // identity.
+        let drawing = out.len().min(n.saturating_sub(1).saturating_sub(i0));
+        let mut words = [0u64; FILL_CHUNK];
+        let mut k = 0;
+        while k < drawing {
+            let need = (drawing - k).min(FILL_CHUNK);
+            let w = &mut words[..need];
+            self.inner.fill_u64s(w);
+            for &word in w.iter() {
+                let i = i0 + k;
+                if let Some(off) = lemire_accept(word, (n - i) as u64) {
+                    out[k] = i + off as usize;
+                    k += 1;
+                }
+            }
+        }
+        for (k, slot) in out.iter_mut().enumerate().skip(drawing) {
+            *slot = i0 + k;
+        }
+    }
+
     /// In-place Fisher–Yates shuffle.
     ///
     /// The paper's evaluation (§6) randomizes the order in which items
@@ -196,9 +247,21 @@ impl DpRng {
     /// examined and stopping at an early abort — with the guarantee that
     /// the lazily generated prefix equals this full shuffle's prefix for
     /// the same generator state.
+    ///
+    /// The steps draw their swap targets in blocks through
+    /// [`fill_shuffle_indices`](Self::fill_shuffle_indices): the same
+    /// words and values as stepping one index at a time.
     pub fn shuffle_forward<T>(&mut self, slice: &mut [T]) {
-        for i in 0..slice.len().saturating_sub(1) {
-            self.shuffle_step(slice, i);
+        let steps = slice.len().saturating_sub(1);
+        let mut targets = [0usize; SHUFFLE_BLOCK];
+        let mut i0 = 0;
+        while i0 < steps {
+            let t = &mut targets[..(steps - i0).min(SHUFFLE_BLOCK)];
+            self.fill_shuffle_indices(i0, slice.len(), t);
+            for (i, &j) in (i0..).zip(t.iter()) {
+                slice.swap(i, j);
+            }
+            i0 += t.len();
         }
     }
 
@@ -394,6 +457,116 @@ mod tests {
                 lazy_rng.shuffle_step(&mut lazy, i);
             }
             assert_eq!(lazy[..k.min(100)], full[..k.min(100)], "k={k}");
+        }
+    }
+
+    /// The swap targets `shuffle_step` draws at indices `i0..i0 + len`
+    /// over `n` elements, one scalar `index` draw per non-final step.
+    fn scalar_targets(rng: &mut DpRng, i0: usize, n: usize, len: usize) -> Vec<usize> {
+        (i0..i0 + len)
+            .map(|i| if n - i > 1 { i + rng.index(n - i) } else { i })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fill_shuffle_indices_matches_shuffle_steps(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..600,
+            len in 1usize..300,
+            start_frac in 0.0f64..1.0,
+            warm in 0usize..70,
+        ) {
+            // Any window of steps, from any word alignment of the
+            // generator (the warm-up draws), including windows that end
+            // on the final, draw-free index.
+            let len = len.min(n);
+            let i0 = ((n - len) as f64 * start_frac) as usize;
+            let mut bulk = DpRng::seed_from_u64(seed);
+            let mut scalar = DpRng::seed_from_u64(seed);
+            for _ in 0..warm {
+                bulk.next_u64();
+                scalar.next_u64();
+            }
+            let mut got = vec![0usize; len];
+            bulk.fill_shuffle_indices(i0, n, &mut got);
+            let want = scalar_targets(&mut scalar, i0, n, len);
+            proptest::prop_assert_eq!(&got, &want);
+            // Identical words consumed: lockstep afterwards.
+            proptest::prop_assert_eq!(bulk.next_u64(), scalar.next_u64());
+        }
+
+        #[test]
+        fn fill_shuffle_indices_matches_near_u32_max(
+            seed in proptest::prelude::any::<u64>(),
+            below in 0usize..1000,
+            len in 1usize..300,
+            start_frac in 0.0f64..1.0,
+        ) {
+            let n = u32::MAX as usize - below;
+            let i0 = ((n - len) as f64 * start_frac) as usize;
+            let mut bulk = DpRng::seed_from_u64(seed);
+            let mut scalar = DpRng::seed_from_u64(seed);
+            let mut got = vec![0usize; len];
+            bulk.fill_shuffle_indices(i0, n, &mut got);
+            proptest::prop_assert_eq!(got, scalar_targets(&mut scalar, i0, n, len));
+            proptest::prop_assert_eq!(bulk.next_u64(), scalar.next_u64());
+        }
+
+        #[test]
+        fn shuffle_forward_matches_shuffle_steps(
+            seed in proptest::prelude::any::<u64>(),
+            n in 0usize..300,
+        ) {
+            let mut bulk = DpRng::seed_from_u64(seed);
+            let mut stepped = DpRng::seed_from_u64(seed);
+            let mut got: Vec<u32> = (0..n as u32).collect();
+            let mut want = got.clone();
+            bulk.shuffle_forward(&mut got);
+            for i in 0..n {
+                stepped.shuffle_step(&mut want, i);
+            }
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(bulk.next_u64(), stepped.next_u64());
+        }
+    }
+
+    #[test]
+    fn fill_shuffle_indices_two_elements() {
+        // n = 2: one drawing step, then the final identity step.
+        for seed in 0..64 {
+            let mut bulk = DpRng::seed_from_u64(seed);
+            let mut scalar = DpRng::seed_from_u64(seed);
+            let mut got = [0usize; 2];
+            bulk.fill_shuffle_indices(0, 2, &mut got);
+            assert_eq!(got.to_vec(), scalar_targets(&mut scalar, 0, 2, 2));
+            assert!(got[0] < 2 && got[1] == 1);
+            let mut last = [7usize];
+            bulk.fill_shuffle_indices(1, 2, &mut last);
+            assert_eq!(last, [1], "the final step draws nothing");
+            assert_eq!(bulk.next_u64(), scalar.next_u64());
+        }
+        DpRng::seed_from_u64(0).fill_shuffle_indices(0, 0, &mut []);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn fill_shuffle_indices_retries_rejected_words() {
+        // Near n = 3·2⁶² a quarter of all words fall in Lemire's
+        // rejection zone, so a few hundred steps reject many times; the
+        // bulk path must spend exactly the scalar loop's words.
+        let n = 3usize << 62;
+        for (seed, len) in [(1u64, 1usize), (2, 31), (3, 32), (4, 200), (5, 300)] {
+            let mut bulk = DpRng::seed_from_u64(seed);
+            let mut scalar = DpRng::seed_from_u64(seed);
+            let mut got = vec![0usize; len];
+            bulk.fill_shuffle_indices(1000, n, &mut got);
+            assert_eq!(
+                got,
+                scalar_targets(&mut scalar, 1000, n, len),
+                "seed {seed}"
+            );
+            assert_eq!(bulk.next_u64(), scalar.next_u64(), "seed {seed} post");
         }
     }
 
